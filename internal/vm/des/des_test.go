@@ -2,9 +2,11 @@ package des
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 // flatCost returns a cost model with zeroed overheads so tests can reason
@@ -725,5 +727,212 @@ func TestQueueStallHookDelaysTokens(t *testing.T) {
 	base, stalled := run(0), run(900)
 	if stalled != base+900 {
 		t.Errorf("stalled makespan = %d, base = %d, want +900", stalled, base)
+	}
+}
+
+// liveGoroutines waits briefly for exiting goroutines to be reaped and
+// returns the live count.
+func liveGoroutines(want int) int {
+	n := runtime.NumGoroutine()
+	for i := 0; i < 100 && n > want; i++ {
+		runtime.Gosched()
+		time.Sleep(time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	return n
+}
+
+// TestRunReleasesThreadsOnStall: a run that ends with suspended threads —
+// a deadlock, either watchdog budget, or a release of an unheld lock —
+// must stop every one of them, so repeated stalled runs leave no
+// goroutine (and no captured stack) behind.
+func TestRunReleasesThreadsOnStall(t *testing.T) {
+	stalls := map[string]func(s *Scheduler){
+		"deadlock": func(s *Scheduler) {
+			q := s.NewQueue("q", 1)
+			for i := 0; i < 3; i++ {
+				s.Spawn("popper", 0, func(th *Thread) error {
+					th.Pop(q)
+					return nil
+				})
+			}
+		},
+		"vtime-budget": func(s *Scheduler) {
+			s.Watchdog = Watchdog{MaxVTime: 1000}
+			for i := 0; i < 3; i++ {
+				s.Spawn("spinner", 0, func(th *Thread) error {
+					for {
+						th.Sleep(100)
+					}
+				})
+			}
+		},
+		"event-budget": func(s *Scheduler) {
+			s.Watchdog = Watchdog{MaxEvents: 50}
+			for i := 0; i < 3; i++ {
+				s.Spawn("livelock", 0, func(th *Thread) error {
+					for {
+						th.Sleep(0)
+					}
+				})
+			}
+		},
+		"bad-release": func(s *Scheduler) {
+			l := s.NewLock("l", Mutex)
+			q := s.NewQueue("q", 1)
+			s.Spawn("popper", 0, func(th *Thread) error {
+				th.Pop(q)
+				return nil
+			})
+			s.Spawn("releaser", 0, func(th *Thread) error {
+				th.Release(l) // never acquired
+				return nil
+			})
+		},
+	}
+	for name, setup := range stalls {
+		before := runtime.NumGoroutine()
+		stopped := 0
+		for i := 0; i < 100; i++ {
+			s := New(flatCost())
+			setup(s)
+			for _, th := range s.threads {
+				body := th.body
+				th.body = func(th *Thread) error {
+					defer func() { stopped++ }()
+					return body(th)
+				}
+			}
+			if _, err := s.Run(); err == nil {
+				t.Fatalf("%s: run did not stall", name)
+			}
+		}
+		if after := liveGoroutines(before); after > before {
+			t.Errorf("%s: %d goroutines before 100 stalled runs, %d after", name, before, after)
+		}
+		if stopped == 0 {
+			t.Errorf("%s: no stalled thread body was unwound", name)
+		}
+	}
+}
+
+// TestPanickingBodySurfacesFromRun: a panic in a thread body comes out of
+// Run on the caller's goroutine (not as a process crash), and the other
+// suspended threads are stopped on the way out.
+func TestPanickingBodySurfacesFromRun(t *testing.T) {
+	before := runtime.NumGoroutine()
+	s := New(flatCost())
+	q := s.NewQueue("q", 1)
+	unwound := false
+	s.Spawn("waiter", 0, func(th *Thread) error {
+		defer func() { unwound = true }()
+		th.Pop(q)
+		return nil
+	})
+	s.Spawn("bomb", 0, func(th *Thread) error {
+		th.Sleep(10)
+		panic("boom")
+	})
+	func() {
+		defer func() {
+			if p := recover(); p != "boom" {
+				t.Errorf("recovered %v, want the body's panic", p)
+			}
+		}()
+		s.Run()
+		t.Error("Run returned normally")
+	}()
+	if !unwound {
+		t.Error("the suspended waiter was not stopped")
+	}
+	if after := liveGoroutines(before); after > before {
+		t.Errorf("%d goroutines before, %d after", before, after)
+	}
+}
+
+// handoffPingPong is the mutex half of the handoff probe: threads
+// ping-ponging one lock, every Acquire and Release one scheduler event.
+func handoffPingPong(s *Scheduler, threads, rounds int) {
+	l := s.NewLock("probe", Mutex)
+	for i := 0; i < threads; i++ {
+		s.Spawn("ping", 0, func(th *Thread) error {
+			for r := 0; r < rounds; r++ {
+				th.Acquire(l)
+				th.Charge(50)
+				th.Release(l)
+				th.Charge(50)
+			}
+			return nil
+		})
+	}
+}
+
+// handoffPipeline is the queue half: a three-stage pipeline, every Push
+// and Pop one scheduler event.
+func handoffPipeline(s *Scheduler, tokens int) {
+	q1, q2 := s.NewQueue("q1", 32), s.NewQueue("q2", 32)
+	s.Spawn("stage0", 0, func(th *Thread) error {
+		for i := 0; i < tokens; i++ {
+			th.Charge(30)
+			th.Push(q1, i)
+		}
+		return nil
+	})
+	s.Spawn("stage1", 0, func(th *Thread) error {
+		for i := 0; i < tokens; i++ {
+			v := th.Pop(q1)
+			th.Charge(30)
+			th.Push(q2, v)
+		}
+		return nil
+	})
+	s.Spawn("stage2", 0, func(th *Thread) error {
+		for i := 0; i < tokens; i++ {
+			th.Pop(q2)
+			th.Charge(30)
+		}
+		return nil
+	})
+}
+
+// BenchmarkHandoff reports host time per scheduler event (one handoff
+// between the scheduler and a simulated thread) on the mutex ping-pong
+// and the three-stage pipeline.
+func BenchmarkHandoff(b *testing.B) {
+	const rounds, tokens = 1000, 1000
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s := New(DefaultCostModel())
+		handoffPingPong(s, 2, rounds)
+		handoffPipeline(s, tokens)
+		if _, err := s.Run(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	events := 2*2*rounds + 4*tokens
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*events), "ns/event")
+}
+
+// TestHandoffZeroAlloc: a scheduler event allocates nothing. Doubling the
+// rounds of a mutex ping-pong must not add a single allocation:
+// everything a run allocates is per-thread setup. Uncontended (one thread
+// per lock) covers the bare handoff; contended (four threads on one lock)
+// adds the ordered waiter queue and the grant on release.
+func TestHandoffZeroAlloc(t *testing.T) {
+	for _, threads := range []int{1, 4} {
+		allocs := func(rounds int) float64 {
+			return testing.AllocsPerRun(20, func() {
+				s := New(DefaultCostModel())
+				handoffPingPong(s, threads, rounds)
+				handoffPingPong(s, threads, rounds)
+				if _, err := s.Run(); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if short, long := allocs(200), allocs(400); long != short {
+			t.Errorf("%d thread(s) per lock: allocations grow with events: %v for 200 rounds, %v for 400",
+				threads, short, long)
+		}
 	}
 }
