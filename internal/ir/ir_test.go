@@ -160,3 +160,54 @@ func TestOpString(t *testing.T) {
 		t.Error("unknown op should still render")
 	}
 }
+
+// TestResolveNames: user functions take the first callee indices in Order,
+// builtins follow in first-call order, repeated callees share one index,
+// and operators resolve by arity ("-" is OperSub binary, OperNeg unary).
+func TestResolveNames(t *testing.T) {
+	p := &Program{}
+	main := &Func{Name: "main"}
+	helper := &Func{Name: "helper"}
+	p.AddFunc(main)
+	p.AddFunc(helper)
+	b := main.NewBlock()
+	calls := []*Instr{
+		{Op: OpCall, Dst: -1, Name: "print_int"},
+		{Op: OpCall, Dst: -1, Name: "helper"},
+		{Op: OpCall, Dst: -1, Name: "emit"},
+		{Op: OpCall, Dst: -1, Name: "print_int"},
+	}
+	sub := &Instr{Op: OpBin, Dst: 0, A: 1, B: 2, BinOp: "-"}
+	neg := &Instr{Op: OpUn, Dst: 0, A: 1, BinOp: "-"}
+	bad := &Instr{Op: OpBin, Dst: 0, A: 1, B: 2, BinOp: "**"}
+	b.Instrs = append(append(b.Instrs, calls...), sub, neg, bad, &Instr{Op: OpRet})
+	hb := helper.NewBlock()
+	hb.Instrs = append(hb.Instrs, &Instr{Op: OpCall, Dst: -1, Name: "main"}, &Instr{Op: OpRet})
+
+	for pass := 0; pass < 2; pass++ { // idempotent
+		p.ResolveNames()
+		if got, want := strings.Join(p.Callees, ","), "main,helper,print_int,emit"; got != want {
+			t.Fatalf("pass %d: Callees = %s, want %s", pass, got, want)
+		}
+		for _, in := range append(calls, hb.Instrs[0]) {
+			if p.Callees[in.Callee] != in.Name {
+				t.Errorf("pass %d: call %s resolved to %s", pass, in.Name, p.Callees[in.Callee])
+			}
+		}
+		if sub.Oper != OperSub || neg.Oper != OperNeg || bad.Oper != OperInvalid {
+			t.Errorf("pass %d: opers sub=%v neg=%v bad=%v", pass, sub.Oper, neg.Oper, bad.Oper)
+		}
+	}
+}
+
+func TestOperSpellingsRoundTrip(t *testing.T) {
+	for o := OperAdd; o < NumOpers; o++ {
+		resolve := BinOper
+		if o >= OperNot {
+			resolve = UnOper
+		}
+		if got := resolve(o.String()); got != o {
+			t.Errorf("%v: spelling %q resolves to %v", int(o), o.String(), got)
+		}
+	}
+}

@@ -125,6 +125,7 @@ func Lower(info *types.Info, diags *source.DiagList) *Result {
 	for _, name := range m.res.Prog.Order {
 		m.res.Prog.Funcs[name].Renumber()
 	}
+	m.res.Prog.ResolveNames()
 	return m.res
 }
 

@@ -194,7 +194,7 @@ func RunSequential(cfg Config) (*Result, error) {
 	retries := 0
 	if r := cfg.Recovery; r != nil {
 		th.Interceptor = func(t *interp.Thread, in *ir.Instr, args []value.Value, invoke func() ([]value.Value, error)) ([]value.Value, error) {
-			if cfg.Prog.Funcs[in.Name] != nil {
+			if in.Callee < len(cfg.Prog.Order) {
 				return invoke() // user function: inner builtin calls retry individually
 			}
 			for attempt := 0; ; attempt++ {
@@ -366,11 +366,13 @@ type machine struct {
 	// for private slots); cells stays the iteration-order registry.
 	cellAt []*sharedCell
 
-	// fast, when non-nil, is the slot-resolved metadata of the compiled
-	// substrate (interp.FastEnabled at machine construction): global names
-	// resolved to heap slots and callees to callInfo. The legacy stepper
-	// keeps its name-keyed map lookups.
+	// fast, when non-nil, is the slot-resolved global metadata of the
+	// compiled substrate (interp.FastEnabled at machine construction). The
+	// legacy stepper keeps its name-keyed heap access.
 	fast *machineFast
+
+	// callees memoizes callInfo by callee index (ir.Instr.Callee).
+	callees []*callInfo
 
 	// setTagCache memoizes the sanitizer's per-member commset tags.
 	setTagCache map[string][]sanitize.SetTag
@@ -442,72 +444,61 @@ type groupKey struct {
 // noUnit marks instructions outside the parallelized loop in unitOf.
 const noUnit = -2
 
-// callInfo is resolved call-site metadata: whether the callee is a
-// commutative member, whether it is a builtin, and the rank-ordered lock
-// sets a member call must acquire (Model.LockSets allocates a fresh slice
-// per query, so the resolution is worth memoizing).
+// callInfo is resolved callee metadata: whether the callee is a
+// commutative member, whether it is a builtin with externally visible
+// effects, and the rank-ordered lock sets a member call must acquire
+// (Model.LockSets allocates a fresh slice per query, so the resolution is
+// worth memoizing).
 type callInfo struct {
-	member   bool
-	builtin  bool
-	lockSets []*types.Set
+	name      string
+	member    bool
+	builtin   bool
+	effectful bool
+	lockSets  []*types.Set
 }
 
-// machineFast carries the slot-indexed fast layer of one machine: per
-// main-instruction global heap slots and call info (indexed by the dense
-// instruction ID), plus a name-keyed memo for callee-side interceptor
-// calls, whose instruction IDs are dense per callee function and so cannot
-// index the main tables.
-type machineFast struct {
-	gslot  []int32
-	call   []*callInfo
-	byName map[string]*callInfo
-}
-
-// resolve memoizes callInfo by callee name. Simulated threads are
-// serialized by the discrete-event scheduler, so the map needs no lock.
-func (fa *machineFast) resolve(m *machine, name string) *callInfo {
-	if ci, ok := fa.byName[name]; ok {
+// callee returns the memoized callInfo of call instruction in's callee.
+// The memo is indexed by callee index, which is program-wide, so main's
+// calls and the interceptor's callee-side calls share it. Simulated
+// threads are serialized by the discrete-event scheduler, so it needs no
+// lock.
+func (m *machine) callee(in *ir.Instr) *callInfo {
+	if ci := m.callees[in.Callee]; ci != nil {
 		return ci
 	}
+	name := in.Name
 	ci := &callInfo{
-		member:   len(m.cfg.Model.SetsOf[name]) > 0,
-		builtin:  m.env.Prog.Funcs[name] == nil,
-		lockSets: m.cfg.Model.LockSets(name),
+		name:      name,
+		member:    len(m.cfg.Model.SetsOf[name]) > 0,
+		builtin:   in.Callee >= len(m.env.Prog.Order),
+		effectful: m.cfg.Effectful[name],
+		lockSets:  m.cfg.Model.LockSets(name),
 	}
-	fa.byName[name] = ci
+	m.callees[in.Callee] = ci
 	return ci
+}
+
+// machineFast carries the slot-indexed fast layer of one machine: the
+// global heap slot of each of main's global loads and stores, indexed by
+// the dense instruction ID.
+type machineFast struct {
+	gslot []int32
 }
 
 // buildFast precomputes the slot-indexed tables for main's instructions.
 func (m *machine) buildFast(numInstrs int) *machineFast {
-	fa := &machineFast{
-		gslot:  make([]int32, numInstrs),
-		call:   make([]*callInfo, numInstrs),
-		byName: map[string]*callInfo{},
-	}
+	fa := &machineFast{gslot: make([]int32, numInstrs)}
 	for i := range fa.gslot {
 		fa.gslot[i] = -1
 	}
 	for _, b := range m.la.Fn.Blocks {
 		for _, in := range b.Instrs {
-			switch in.Op {
-			case ir.OpLoadGlobal, ir.OpStoreGlobal:
+			if in.Op == ir.OpLoadGlobal || in.Op == ir.OpStoreGlobal {
 				fa.gslot[in.ID] = int32(m.env.Globals.SlotOf(in.Name))
-			case ir.OpCall:
-				fa.call[in.ID] = fa.resolve(m, in.Name)
 			}
 		}
 	}
 	return fa
-}
-
-// lockSetsOf returns the rank-ordered lock sets of a member, through the
-// fast layer's memo when it is active.
-func (m *machine) lockSetsOf(name string) []*types.Set {
-	if m.fast != nil {
-		return m.fast.resolve(m, name).lockSets
-	}
-	return m.cfg.Model.LockSets(name)
 }
 
 func newMachine(cfg Config, la *pipeline.LoopAnalysis, sched *transform.Schedule, mode SyncMode) *machine {
@@ -522,6 +513,7 @@ func newMachine(cfg Config, la *pipeline.LoopAnalysis, sched *transform.Schedule
 		cells:    map[int]*sharedCell{},
 		instrPos: make([]instrLoc, numInstrs),
 	}
+	m.callees = make([]*callInfo, len(m.env.Prog.Callees))
 	m.cellAt = make([]*sharedCell, len(la.Fn.Locals))
 	for _, s := range sched.SharedSlots {
 		c := &sharedCell{}

@@ -94,23 +94,13 @@ func (m *machine) newStepper(th *des.Thread, fr *frame) *stepper {
 		st.it.Tracer = m.cfg.Sanitize
 	}
 	st.it.Interceptor = func(t *interp.Thread, in *ir.Instr, args []value.Value, invoke func() ([]value.Value, error)) ([]value.Value, error) {
-		var member, builtin bool
-		if fa := m.fast; fa != nil {
-			// Callee instruction IDs are dense per function, so the
-			// interceptor resolves by name, not by the main tables.
-			ci := fa.resolve(m, in.Name)
-			member, builtin = ci.member, ci.builtin
-		} else {
-			member = len(m.cfg.Model.SetsOf[in.Name]) > 0
-			builtin = m.env.Prog.Funcs[in.Name] == nil
-		}
-		switch {
-		case builtin:
+		switch ci := m.callee(in); {
+		case ci.builtin:
 			// Builtins fail atomically (an injected failure fires before
 			// the builtin runs), so call-level retry is safe.
-			return st.invokeBuiltin(in.Name, member, args, invoke)
-		case member:
-			return st.withMemberSync(in.Name, args, nil, nil, invoke)
+			return st.invokeBuiltin(ci, args, invoke)
+		case ci.member:
+			return st.withMemberSync(ci, args, nil, nil, invoke)
 		}
 		return invoke()
 	}
@@ -149,10 +139,10 @@ func (m *machine) snapState() (map[string]value.Value, map[int]value.Value) {
 // virtual time. User-function calls are never retried here: they may have
 // externalized partial work, and their inner builtin calls retry
 // individually through the interceptor.
-func (st *stepper) invokeBuiltin(name string, member bool, args []value.Value, invoke func() ([]value.Value, error)) ([]value.Value, error) {
+func (st *stepper) invokeBuiltin(ci *callInfo, args []value.Value, invoke func() ([]value.Value, error)) ([]value.Value, error) {
 	run := func() ([]value.Value, error) {
-		if member {
-			return st.withMemberSync(name, args, nil, nil, invoke)
+		if ci.member {
+			return st.withMemberSync(ci, args, nil, nil, invoke)
 		}
 		rets, err := invoke()
 		st.flush()
@@ -162,7 +152,7 @@ func (st *stepper) invokeBuiltin(name string, member bool, args []value.Value, i
 	for attempt := 0; ; attempt++ {
 		rets, err := run()
 		if err == nil {
-			if st.m.cfg.Effectful[name] {
+			if ci.effectful {
 				st.effects++
 			}
 			return rets, nil
@@ -183,20 +173,13 @@ func (st *stepper) flush() {
 	}
 }
 
-// call invokes a function or builtin, charging its cost to the thread.
-func (st *stepper) call(name string, args []value.Value) ([]value.Value, error) {
-	rets, err := st.it.CallByName(name, args)
-	st.flush()
-	return rets, err
-}
-
 // withMemberSync executes body under the synchronization required for a
 // commutative member; a successful call counts as an externalized effect
 // (its commit is visible to other threads, so the iteration that made it
 // cannot be re-executed). args and the shared-cell slot wirings feed the
 // sanitizer's member-extent record when a monitor is attached.
-func (st *stepper) withMemberSync(name string, args []value.Value, argSlots, outSlots map[int]int, body func() ([]value.Value, error)) ([]value.Value, error) {
-	rets, err := st.memberSyncInner(name, args, argSlots, outSlots, body)
+func (st *stepper) withMemberSync(ci *callInfo, args []value.Value, argSlots, outSlots map[int]int, body func() ([]value.Value, error)) ([]value.Value, error) {
+	rets, err := st.memberSyncInner(ci, args, argSlots, outSlots, body)
 	if err == nil {
 		st.effects++
 	}
@@ -206,9 +189,9 @@ func (st *stepper) withMemberSync(name string, args []value.Value, argSlots, out
 // memberSyncInner executes body under the synchronization required for a
 // commutative member: locks of every (non-nosync) set the member belongs
 // to, acquired in global rank order and released in reverse (Section 4.6).
-func (st *stepper) memberSyncInner(name string, args []value.Value, argSlots, outSlots map[int]int, body func() ([]value.Value, error)) ([]value.Value, error) {
+func (st *stepper) memberSyncInner(ci *callInfo, args []value.Value, argSlots, outSlots map[int]int, body func() ([]value.Value, error)) ([]value.Value, error) {
 	m := st.m
-	lockSets := m.lockSetsOf(name)
+	name, lockSets := ci.name, ci.lockSets
 	st.flush()
 	if mon := m.cfg.Sanitize; mon != nil {
 		// The member extent opens after synchronization is in place (the
@@ -474,14 +457,14 @@ func (st *stepper) stepInstr(in *ir.Instr) (branchTo int, isRet bool, err error)
 		}
 	case ir.OpBin:
 		clearTag(in.Dst)
-		v, e := interp.EvalBin(in.BinOp, fr.regs[in.A], fr.regs[in.B])
+		v, e := interp.EvalBinInstr(in, fr.regs[in.A], fr.regs[in.B])
 		if e != nil {
 			return 0, false, fmt.Errorf("%s: %v", in.Pos, e)
 		}
 		fr.regs[in.Dst] = v
 	case ir.OpUn:
 		clearTag(in.Dst)
-		v, e := interp.EvalUn(in.BinOp, fr.regs[in.A])
+		v, e := interp.EvalUnInstr(in, fr.regs[in.A])
 		if e != nil {
 			return 0, false, fmt.Errorf("%s: %v", in.Pos, e)
 		}
@@ -524,16 +507,8 @@ func (st *stepper) execCallArgs(in *ir.Instr, args []value.Value) error {
 	for i, r := range in.Args {
 		args[i] = fr.regs[r]
 	}
-	var ci *callInfo
-	if fa := st.m.fast; fa != nil {
-		ci = fa.call[in.ID]
-	}
-	member := false
-	if ci != nil {
-		member = ci.member
-	} else {
-		member = len(st.m.cfg.Model.SetsOf[in.Name]) > 0
-	}
+	ci := st.m.callee(in)
+	member := ci.member
 	mon := st.m.cfg.Sanitize
 
 	// The sanitizer's replay needs the shared-cell wiring of a member
@@ -575,17 +550,11 @@ func (st *stepper) execCallArgs(in *ir.Instr, args []value.Value) error {
 
 	var rets []value.Value
 	var err error
-	builtin := false
-	if ci != nil {
-		builtin = ci.builtin
-	} else {
-		builtin = st.m.env.Prog.Funcs[in.Name] == nil
-	}
 	switch {
-	case builtin:
-		rets, err = st.invokeBuiltin(in.Name, member, args, invoke)
+	case ci.builtin:
+		rets, err = st.invokeBuiltin(ci, args, invoke)
 	case member:
-		rets, err = st.withMemberSync(in.Name, args, argSlots, outSlots, invoke)
+		rets, err = st.withMemberSync(ci, args, argSlots, outSlots, invoke)
 	default:
 		rets, err = invoke()
 		st.flush()
@@ -622,7 +591,7 @@ func (st *stepper) invokeCurrent() ([]value.Value, error) {
 			}
 		}
 	}
-	rets, err := st.it.CallByName(in.Name, args)
+	rets, err := st.it.Call(in, args)
 	if err != nil {
 		return nil, err
 	}
