@@ -45,6 +45,17 @@ func builtinsFor(sink *[]int64) map[string]interp.BuiltinFn {
 	}
 }
 
+// evalBin applies op the way executors do: through the operator that
+// name resolution gives an OpBin instruction.
+func evalBin(op string, a, b value.Value) (value.Value, error) {
+	return interp.EvalBinInstr(&ir.Instr{Op: ir.OpBin, BinOp: op, Oper: ir.BinOper(op)}, a, b)
+}
+
+// evalUn applies unary op through its resolved operator.
+func evalUn(op string, a value.Value) (value.Value, error) {
+	return interp.EvalUnInstr(&ir.Instr{Op: ir.OpUn, BinOp: op, Oper: ir.UnOper(op)}, a)
+}
+
 func TestEvalBinTable(t *testing.T) {
 	i := value.Int
 	f := value.Float
@@ -77,7 +88,7 @@ func TestEvalBinTable(t *testing.T) {
 		{">=", i(1), i(2), b(false)},
 	}
 	for _, c := range cases {
-		got, err := interp.EvalBin(c.op, c.a, c.c)
+		got, err := evalBin(c.op, c.a, c.c)
 		if err != nil {
 			t.Errorf("%v %s %v: %v", c.a, c.op, c.c, err)
 			continue
@@ -103,7 +114,7 @@ func TestEvalBinErrors(t *testing.T) {
 		{"+", value.Bool(true), value.Bool(false)},
 	}
 	for _, c := range bad {
-		if _, err := interp.EvalBin(c.op, c.a, c.b); err == nil {
+		if _, err := evalBin(c.op, c.a, c.b); err == nil {
 			t.Errorf("%v %s %v: expected error", c.a, c.op, c.b)
 		}
 	}
@@ -112,15 +123,15 @@ func TestEvalBinErrors(t *testing.T) {
 func TestEvalBinIntQuick(t *testing.T) {
 	// Interpreter arithmetic must agree with Go's int64 semantics.
 	f := func(a, b int64) bool {
-		sum, err := interp.EvalBin("+", value.Int(a), value.Int(b))
+		sum, err := evalBin("+", value.Int(a), value.Int(b))
 		if err != nil || sum.AsInt() != a+b {
 			return false
 		}
-		prod, err := interp.EvalBin("*", value.Int(a), value.Int(b))
+		prod, err := evalBin("*", value.Int(a), value.Int(b))
 		if err != nil || prod.AsInt() != a*b {
 			return false
 		}
-		lt, err := interp.EvalBin("<", value.Int(a), value.Int(b))
+		lt, err := evalBin("<", value.Int(a), value.Int(b))
 		if err != nil || lt.AsBool() != (a < b) {
 			return false
 		}
@@ -132,19 +143,19 @@ func TestEvalBinIntQuick(t *testing.T) {
 }
 
 func TestEvalUn(t *testing.T) {
-	if v, _ := interp.EvalUn("-", value.Int(5)); v.AsInt() != -5 {
+	if v, _ := evalUn("-", value.Int(5)); v.AsInt() != -5 {
 		t.Error("unary minus int")
 	}
-	if v, _ := interp.EvalUn("-", value.Float(2.5)); v.AsFloat() != -2.5 {
+	if v, _ := evalUn("-", value.Float(2.5)); v.AsFloat() != -2.5 {
 		t.Error("unary minus float")
 	}
-	if v, _ := interp.EvalUn("!", value.Bool(true)); v.AsBool() {
+	if v, _ := evalUn("!", value.Bool(true)); v.AsBool() {
 		t.Error("not")
 	}
-	if _, err := interp.EvalUn("!", value.Int(1)); err == nil {
+	if _, err := evalUn("!", value.Int(1)); err == nil {
 		t.Error("! on int should error")
 	}
-	if _, err := interp.EvalUn("-", value.Str("x")); err == nil {
+	if _, err := evalUn("-", value.Str("x")); err == nil {
 		t.Error("- on string should error")
 	}
 }
