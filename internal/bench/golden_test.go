@@ -14,6 +14,8 @@ import (
 	"testing"
 
 	"repro/internal/builtins"
+	"repro/internal/transform"
+	"repro/internal/vm/exec"
 	"repro/internal/workloads"
 )
 
@@ -56,9 +58,45 @@ func reportHash(t *testing.T, v any) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
+// weightsHash fingerprints a profile's per-instruction weights in
+// instruction-ID order.
+func weightsHash(w map[int]int64) string {
+	ids := make([]int, 0, len(w))
+	for id := range w {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	h := fnv.New64a()
+	for _, id := range ids {
+		fmt.Fprintf(h, "%d:%d\n", id, w[id])
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// cellSyncs lists the sync modes the cells benchmark runs a variant's
+// schedule under: every mode for the annotated DOALL, the headline
+// mechanisms (Spin, plus Lib where the library is thread-safe) for the
+// other transforms and variants, and Spin for the non-COMMSET baseline.
+func cellSyncs(wl *workloads.Workload, variant string, kind transform.Kind) []exec.SyncMode {
+	switch {
+	case variant == "noannot":
+		return []exec.SyncMode{exec.SyncSpin}
+	case kind != transform.DOALL || variant != "comm":
+		if wl.LibOK {
+			return []exec.SyncMode{exec.SyncSpin, exec.SyncLib}
+		}
+		return []exec.SyncMode{exec.SyncSpin}
+	}
+	return wl.Syncs()
+}
+
 // goldenCells runs every golden cell and returns key → canonical result:
 //   - grid: every workload × kind × sync × goldenThreads cell of the
 //     primary variant, plus each compile's sequential baseline;
+//   - variant: the same for the non-primary variants (det, pipe, ...)
+//     and the pragma-stripped baseline, at the cells benchmark's syncs;
+//   - auto: every variant's cells auto-tuned (the picked Tune and vtime);
+//   - profile: each variant's profile total and per-instruction weights;
 //   - steal: the steal campaign's smoke cells;
 //   - fault: the fault campaign's smoke cells;
 //   - service: the service campaign's smoke cells and rate ladder;
@@ -91,6 +129,53 @@ func goldenCells(t *testing.T) map[string]string {
 						}
 						put(fmt.Sprintf("grid/%s/%v/%v/t%d", wl.Name, kind, mode, threads),
 							fmt.Sprintf("vt=%d out=%s", m.VirtualTime, worldHash(m.World)))
+					}
+				}
+			}
+		}
+
+		// The non-primary variants and the auto-tuned cells the cells
+		// benchmark runs, plus each compile's profile weights.
+		for _, wl := range workloads.All() {
+			variants := []string{}
+			for _, v := range wl.Variants {
+				variants = append(variants, v.Name)
+			}
+			variants = append(variants, "noannot")
+			for _, variant := range variants {
+				for _, threads := range goldenThreads {
+					cp, err := compileUncached(wl, variant, threads)
+					if err != nil {
+						t.Fatalf("compile %s/%s/t%d: %v", wl.Name, variant, threads, err)
+					}
+					if threads == goldenThreads[0] {
+						put(fmt.Sprintf("profile/%s/%s", wl.Name, variant),
+							fmt.Sprintf("total=%d weights=%s", cp.Prof.Total, weightsHash(cp.Prof.Weights)))
+					}
+					if variant != "comm" {
+						put(fmt.Sprintf("variant/%s/%s/seq/t%d", wl.Name, variant, threads),
+							fmt.Sprintf("vt=%d out=%s", cp.SeqCost, worldHash(cp.SeqWorld)))
+					}
+					for _, kind := range campaignKinds {
+						if cp.Schedule(kind) == nil {
+							continue
+						}
+						for _, mode := range cellSyncs(wl, variant, kind) {
+							if variant != "comm" {
+								m, err := cp.runUncached(kind, mode, threads, false)
+								if err != nil {
+									t.Fatalf("run %s/%s %v/%v/t%d: %v", wl.Name, variant, kind, mode, threads, err)
+								}
+								put(fmt.Sprintf("variant/%s/%s/%v/%v/t%d", wl.Name, variant, kind, mode, threads),
+									fmt.Sprintf("vt=%d out=%s", m.VirtualTime, worldHash(m.World)))
+							}
+							m, err := cp.runUncached(kind, mode, threads, true)
+							if err != nil {
+								t.Fatalf("auto %s/%s %v/%v/t%d: %v", wl.Name, variant, kind, mode, threads, err)
+							}
+							put(fmt.Sprintf("auto/%s/%s/%v/%v/t%d", wl.Name, variant, kind, mode, threads),
+								fmt.Sprintf("tune=%q vt=%d out=%s", m.Tune.String(), m.VirtualTime, worldHash(m.World)))
+						}
 					}
 				}
 			}
