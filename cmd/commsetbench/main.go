@@ -41,7 +41,6 @@ import (
 	"repro/internal/bench"
 	"repro/internal/transform"
 	"repro/internal/vm/exec"
-	"repro/internal/vm/interp"
 	"repro/internal/workloads"
 )
 
@@ -71,10 +70,10 @@ func main() {
 		all      = flag.Bool("all", false, "print everything")
 		threads  = flag.Int("threads", 8, "maximum thread count")
 		hostpar  = flag.Int("hostpar", 1, "host worker goroutines for campaign cells (0 = GOMAXPROCS); reports are byte-identical to sequential runs")
-		legacy   = flag.Bool("legacy", false, "disable the compiled interpreter fast path and fast-mode caches (bit-identical results, slower host wall-clock)")
-		hostrep  = flag.Bool("host", false, "measure host wall-clock (fast path vs legacy, campaign suite) and write the report")
+		hostrep  = flag.Bool("host", false, "measure host wall-clock (simulation bundles, campaign suite) in one pass and write the report")
 		hostJS   = flag.String("host-json", "BENCH_host.json", "with -host: write the host-performance report to this file (\"\" disables)")
-		hostBase = flag.String("host-baseline", "BENCH_host.json", "with -host: compare fast ns/cost-unit against this committed report and warn on >25% regression (\"\" disables; advisory only)")
+		hostBase = flag.String("host-baseline", "BENCH_host.json", "with -host: compare ns/cost-unit against this committed report and warn on >25% regression (\"\" disables; advisory only)")
+		hostGold = flag.String("host-golden", "internal/bench/testdata/golden_vtimes.txt", "with -host: fail unless the pass's vtimes match this golden file (\"\" disables)")
 		cpuprof  = flag.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this file")
 		memprof  = flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
 	)
@@ -105,9 +104,6 @@ func main() {
 		}()
 	}
 	bench.HostWorkers = *hostpar
-	if *legacy {
-		interp.FastEnabled = false
-	}
 
 	if *all {
 		*table1, *table2, *figure6, *figure3, *claims, *ablation, *faults, *service, *vetprec, *sanit, *steal = true, true, true, true, true, true, true, true, true, true, true
@@ -228,7 +224,7 @@ func main() {
 		// baseline path usually is the output path).
 		baseline := loadHostBaseline(*hostBase)
 		rep, err := bench.HostReport(os.Stdout, bench.HostOptions{
-			Threads: *threads, Seed: *seed, Smoke: *smoke, JSONPath: *hostJS,
+			Threads: *threads, Seed: *seed, Smoke: *smoke, JSONPath: *hostJS, GoldenPath: *hostGold,
 		})
 		if err != nil {
 			fatal(err)
@@ -256,22 +252,22 @@ func loadHostBaseline(path string) *bench.HostPerfReport {
 	return &rep
 }
 
-// checkHostBaseline warns when the fast substrate's ns/cost-unit
-// regressed more than 25% against the committed baseline. Advisory only:
-// the CI host clock is noisy (see EXPERIMENTS.md), so the check fails
-// loudly in the log without failing the run.
+// checkHostBaseline warns when the simulator's ns/cost-unit regressed
+// more than 25% against the committed baseline. Advisory only: the CI
+// host clock is noisy (see EXPERIMENTS.md), so the check fails loudly in
+// the log without failing the run.
 func checkHostBaseline(base *bench.HostPerfReport, rep *bench.HostPerfReport) {
-	if base == nil || base.FastNsPerCost <= 0 || rep == nil {
+	if base == nil || base.NsPerCost <= 0 || rep == nil {
 		return
 	}
-	ratio := rep.FastNsPerCost / base.FastNsPerCost
+	ratio := rep.NsPerCost / base.NsPerCost
 	if ratio > 1.25 {
-		fmt.Printf("WARNING: host regression: fast substrate %.1f ns/cost-unit vs committed %.1f (%.0f%% slower; >25%% threshold). Advisory only — the host clock is noisy; re-measure before reading anything into it.\n",
-			rep.FastNsPerCost, base.FastNsPerCost, (ratio-1)*100)
+		fmt.Printf("WARNING: host regression: simulator %.2f ns/cost-unit vs committed %.2f (%.0f%% slower; >25%% threshold). Advisory only — the host clock is noisy; re-measure before reading anything into it.\n",
+			rep.NsPerCost, base.NsPerCost, (ratio-1)*100)
 		return
 	}
-	fmt.Printf("host regression check: fast substrate %.1f ns/cost-unit vs committed %.1f (within 25%%)\n",
-		rep.FastNsPerCost, base.FastNsPerCost)
+	fmt.Printf("host regression check: simulator %.2f ns/cost-unit vs committed %.2f (within 25%%)\n",
+		rep.NsPerCost, base.NsPerCost)
 }
 
 func figWriter(print bool) *os.File {

@@ -6,20 +6,17 @@ import (
 	"repro/internal/builtins"
 	"repro/internal/transform"
 	"repro/internal/vm/exec"
-	"repro/internal/vm/interp"
 	"repro/internal/workloads"
 )
 
-// Fast-mode memoization of benchmark artifacts. Compiling a workload
-// variant (parse, analyze, profile run, sequential baseline run) and
-// measuring a schedule cell are both pure functions of their inputs — the
-// whole evaluation is deterministic by construction — yet the campaigns
-// repeat them constantly: specsFor and Figure6 compile the same variants
+// Memoization of benchmark artifacts. Compiling a workload variant
+// (parse, analyze, profile run, sequential baseline run) and measuring a
+// schedule cell are both pure functions of their inputs — the whole
+// evaluation is deterministic by construction — yet the campaigns repeat
+// them constantly: specsFor and Figure6 compile the same variants
 // back-to-back, the sanitizer's plain runs duplicate Figure 6 cells, the
 // claims pass re-measures the figures, and every campaign recompiles the
-// workloads it sweeps. Fast mode (interp.FastEnabled) memoizes both; the
-// legacy baseline bypasses the caches so the host benchmark measures the
-// unmemoized harness.
+// workloads it sweeps. Both are memoized.
 //
 // Entries use a per-key sync.Once so host-parallel campaign cells that
 // race to the same key compute it exactly once, without serializing
@@ -91,12 +88,9 @@ func (cp *Compiled) runCached(kind transform.Kind, mode exec.SyncMode, threads i
 	return &m, nil
 }
 
-// interpFast reports whether fast-mode memoization applies.
-func interpFast() bool { return interp.FastEnabled }
-
 // resetCaches drops the bench-level compile/run memos and the substrate's
-// fast-mode caches. The host benchmark calls it before each measurement
-// pass so both passes start cold.
+// caches. The host benchmark calls it before its measurement pass so the
+// pass starts cold.
 func resetCaches() {
 	compileMu.Lock()
 	compileCache = map[compileKey]*compileEntry{}

@@ -6,14 +6,12 @@ import (
 	"flag"
 	"fmt"
 	"hash/fnv"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
 
-	"repro/internal/builtins"
 	"repro/internal/transform"
 	"repro/internal/vm/exec"
 	"repro/internal/workloads"
@@ -29,21 +27,6 @@ var goldenPath = filepath.Join("testdata", "golden_vtimes.txt")
 
 // goldenThreads are the simulated thread counts of the schedule grid.
 var goldenThreads = []int{2, 4, 8}
-
-// worldHash fingerprints a run's observable output (console lines, then
-// log lines) in emission order: the simulator is deterministic, so even
-// DOALL output order is part of the contract.
-func worldHash(w *builtins.World) string {
-	h := fnv.New64a()
-	for _, lines := range [][]string{w.Console, w.LogLines()} {
-		for _, l := range lines {
-			io.WriteString(h, l)
-			h.Write([]byte{'\n'})
-		}
-		h.Write([]byte{0})
-	}
-	return fmt.Sprintf("%016x", h.Sum64())
-}
 
 // reportHash fingerprints a campaign cell's whole JSON report, so fields
 // the golden line does not spell out (latency percentiles, scale events,
@@ -109,15 +92,14 @@ func goldenCells(t *testing.T) map[string]string {
 		}
 		out[key] = result
 	}
-	withHostState(true, 1, func() {
+	withHostState(1, func() {
 		for _, wl := range workloads.All() {
 			for _, threads := range goldenThreads {
 				cp, err := compileUncached(wl, "comm", threads)
 				if err != nil {
 					t.Fatalf("compile %s/t%d: %v", wl.Name, threads, err)
 				}
-				put(fmt.Sprintf("grid/%s/seq/t%d", wl.Name, threads),
-					fmt.Sprintf("vt=%d out=%s", cp.SeqCost, worldHash(cp.SeqWorld)))
+				put(fmt.Sprintf("grid/%s/seq/t%d", wl.Name, threads), goldenResult(cp.SeqCost, cp.SeqWorld))
 				for _, kind := range campaignKinds {
 					if cp.Schedule(kind) == nil {
 						continue
@@ -127,8 +109,7 @@ func goldenCells(t *testing.T) map[string]string {
 						if err != nil {
 							t.Fatalf("run %s %v/%v/t%d: %v", wl.Name, kind, mode, threads, err)
 						}
-						put(fmt.Sprintf("grid/%s/%v/%v/t%d", wl.Name, kind, mode, threads),
-							fmt.Sprintf("vt=%d out=%s", m.VirtualTime, worldHash(m.World)))
+						put(gridKey(wl.Name, kind, mode, threads), goldenResult(m.VirtualTime, m.World))
 					}
 				}
 			}
@@ -153,8 +134,7 @@ func goldenCells(t *testing.T) map[string]string {
 							fmt.Sprintf("total=%d weights=%s", cp.Prof.Total, weightsHash(cp.Prof.Weights)))
 					}
 					if variant != "comm" {
-						put(fmt.Sprintf("variant/%s/%s/seq/t%d", wl.Name, variant, threads),
-							fmt.Sprintf("vt=%d out=%s", cp.SeqCost, worldHash(cp.SeqWorld)))
+						put(fmt.Sprintf("variant/%s/%s/seq/t%d", wl.Name, variant, threads), goldenResult(cp.SeqCost, cp.SeqWorld))
 					}
 					for _, kind := range campaignKinds {
 						if cp.Schedule(kind) == nil {
@@ -167,7 +147,7 @@ func goldenCells(t *testing.T) map[string]string {
 									t.Fatalf("run %s/%s %v/%v/t%d: %v", wl.Name, variant, kind, mode, threads, err)
 								}
 								put(fmt.Sprintf("variant/%s/%s/%v/%v/t%d", wl.Name, variant, kind, mode, threads),
-									fmt.Sprintf("vt=%d out=%s", m.VirtualTime, worldHash(m.World)))
+									goldenResult(m.VirtualTime, m.World))
 							}
 							m, err := cp.runUncached(kind, mode, threads, true)
 							if err != nil {
@@ -271,20 +251,9 @@ func TestGoldenVTimes(t *testing.T) {
 		return
 	}
 
-	data, err := os.ReadFile(goldenPath)
+	want, err := readGolden(goldenPath)
 	if err != nil {
-		t.Fatalf("read golden file: %v", err)
-	}
-	want := map[string]string{}
-	for _, line := range strings.Split(string(data), "\n") {
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		k, v, ok := strings.Cut(line, "  ")
-		if !ok {
-			t.Fatalf("malformed golden line %q", line)
-		}
-		want[k] = v
+		t.Fatal(err)
 	}
 	for _, k := range keys {
 		w, ok := want[k]

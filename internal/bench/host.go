@@ -6,9 +6,10 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"sort"
+	"strings"
 	"time"
 
-	"repro/internal/vm/interp"
 	"repro/internal/workloads"
 )
 
@@ -18,42 +19,39 @@ type HostOptions struct {
 	Seed     uint64
 	Smoke    bool
 	JSONPath string
+	// GoldenPath, when set, names the committed golden vtime file
+	// (testdata/golden_vtimes.txt): every bundle cell it has a line for
+	// must reproduce that line's virtual time and output hash.
+	GoldenPath string
 }
 
-// HostWorkloadTiming is one workload's fast-vs-legacy measurement: the
-// fixed simulation bundle (compile with its profiling and sequential runs,
-// then one parallel run per applicable transform at the primary sync mode)
-// executed once on the legacy stepper and once on the compiled fast path.
+// HostWorkloadTiming is one workload's simulation bundle: compile with its
+// profiling and sequential runs, then one parallel run per applicable
+// transform at the primary sync mode.
 type HostWorkloadTiming struct {
 	Workload string `json:"workload"`
 	// SimCost estimates the virtual cost units the bundle simulates:
 	// the sequential cost times the number of whole-program executions
 	// (profiling run + sequential baseline + one run per transform).
-	SimCost  int64   `json:"sim_cost"`
-	LegacyMs float64 `json:"legacy_ms"`
-	FastMs   float64 `json:"fast_ms"`
-	Speedup  float64 `json:"speedup"`
-	// LegacyNsPerCost / FastNsPerCost are host nanoseconds per simulated
-	// cost unit — the simulator's hardware speed.
-	LegacyNsPerCost float64 `json:"legacy_ns_per_cost"`
-	FastNsPerCost   float64 `json:"fast_ns_per_cost"`
-	// VTimeMatch asserts the two substrates produced bit-for-bit identical
-	// virtual times for every run of the bundle.
-	VTimeMatch bool `json:"vtime_match"`
+	SimCost int64   `json:"sim_cost"`
+	Ms      float64 `json:"ms"`
+	// NsPerCost is host nanoseconds per simulated cost unit — the
+	// simulator's hardware speed.
+	NsPerCost float64 `json:"ns_per_cost"`
+	// GoldenCells counts the bundle's cells checked against the golden
+	// file (cells at thread counts it does not cover go unchecked).
+	GoldenCells int `json:"golden_cells"`
 }
 
-// HostCampaignTiming is one campaign's wall-clock under both substrates.
+// HostCampaignTiming is one campaign's wall-clock.
 type HostCampaignTiming struct {
 	Campaign string  `json:"campaign"`
-	LegacyMs float64 `json:"legacy_ms"`
-	FastMs   float64 `json:"fast_ms"`
-	Speedup  float64 `json:"speedup"`
+	Ms       float64 `json:"ms"`
 }
 
 // HostPerfReport is the machine-readable host-performance report behind
-// BENCH_host.json: per-workload simulator speed, per-campaign wall-clock,
-// and the suite-level fast-vs-legacy speedup, all measured in one process
-// (legacy pass first, cold caches for both passes).
+// BENCH_host.json: per-workload simulator speed and per-campaign
+// wall-clock, measured in one pass from cold caches.
 type HostPerfReport struct {
 	Threads     int    `json:"threads"`
 	Seed        uint64 `json:"seed"`
@@ -64,30 +62,29 @@ type HostPerfReport struct {
 	Workloads []HostWorkloadTiming `json:"workloads"`
 	Campaigns []HostCampaignTiming `json:"campaigns"`
 
-	// LegacyNsPerCost / FastNsPerCost aggregate the workload bundles:
-	// total host nanoseconds over total simulated cost units.
-	LegacyNsPerCost float64 `json:"legacy_ns_per_cost"`
-	FastNsPerCost   float64 `json:"fast_ns_per_cost"`
+	// NsPerCost aggregates the workload bundles: total host nanoseconds
+	// over total simulated cost units.
+	NsPerCost float64 `json:"ns_per_cost"`
+	SuiteMs   float64 `json:"suite_ms"`
 
-	SuiteLegacyMs float64 `json:"suite_legacy_ms"`
-	SuiteFastMs   float64 `json:"suite_fast_ms"`
-	SuiteSpeedup  float64 `json:"suite_speedup"`
-
-	AllVTimesMatch bool `json:"all_vtimes_match"`
+	// GoldenCells counts the bundle cells checked against the golden
+	// file; the report fails on any that drifted.
+	GoldenCells int `json:"golden_cells"`
 }
 
-// hostBundle runs one workload's measurement bundle on the current
-// substrate (interp.FastEnabled decides which), bypassing the bench-level
-// memos so the simulation itself is what gets timed. It returns the
-// wall-clock, the bundle's simulated-cost estimate, and the virtual time
-// of every run for the bit-for-bit comparison between passes.
-func hostBundle(wl *workloads.Workload, threads int) (time.Duration, int64, map[string]int64, error) {
+// hostBundle runs one workload's measurement bundle, bypassing the
+// bench-level memos so the simulation itself is what gets timed. It
+// returns the wall-clock, the bundle's simulated-cost estimate, and every
+// run's golden-file result line by golden key.
+func hostBundle(wl *workloads.Workload, threads int) (time.Duration, int64, map[string]string, error) {
 	start := time.Now()
 	cp, err := compileUncached(wl, "comm", threads)
 	if err != nil {
 		return 0, 0, nil, err
 	}
-	vtimes := map[string]int64{"seq": cp.SeqCost}
+	cells := map[string]string{
+		fmt.Sprintf("grid/%s/seq/t%d", wl.Name, threads): goldenResult(cp.SeqCost, cp.SeqWorld),
+	}
 	runs := int64(2) // the profiling run and the sequential baseline
 	mode := wl.Syncs()[0]
 	for _, kind := range campaignKinds {
@@ -98,10 +95,10 @@ func hostBundle(wl *workloads.Workload, threads int) (time.Duration, int64, map[
 		if err != nil {
 			return 0, 0, nil, err
 		}
-		vtimes[kind.String()] = m.VirtualTime
+		cells[gridKey(wl.Name, kind, mode, threads)] = goldenResult(m.VirtualTime, m.World)
 		runs++
 	}
-	return time.Since(start), cp.SeqCost * runs, vtimes, nil
+	return time.Since(start), cp.SeqCost * runs, cells, nil
 }
 
 // hostCampaigns is the campaign suite the host benchmark times, in fixed
@@ -134,12 +131,10 @@ func hostCampaigns(opts HostOptions) []struct {
 	}
 }
 
-// HostReport measures host wall-clock performance: every workload's
-// simulation bundle and the full campaign suite, first on the legacy
-// per-instruction stepper with sequential campaign cells (FastEnabled off,
-// one host worker), then on the compiled fast path with the configured
-// -hostpar pool. Both passes run in this process from cold caches; the
-// fast pass must reproduce every legacy virtual time bit-for-bit.
+// HostReport measures host wall-clock performance in one pass from cold
+// caches: every workload's simulation bundle, then the campaign suite on
+// the configured -hostpar pool. With opts.GoldenPath set, the bundles'
+// virtual times and output hashes must match the committed golden file.
 func HostReport(out io.Writer, opts HostOptions) (*HostPerfReport, error) {
 	if opts.Threads <= 0 {
 		opts.Threads = 8
@@ -147,69 +142,18 @@ func HostReport(out io.Writer, opts HostOptions) (*HostPerfReport, error) {
 	if opts.Seed == 0 {
 		opts.Seed = 1
 	}
-	savedFast, savedWorkers := interp.FastEnabled, HostWorkers
-	defer func() {
-		interp.FastEnabled, HostWorkers = savedFast, savedWorkers
-	}()
+	var golden map[string]string
+	if opts.GoldenPath != "" {
+		var err error
+		if golden, err = readGolden(opts.GoldenPath); err != nil {
+			return nil, err
+		}
+	}
 
 	rep := &HostPerfReport{
 		Threads: opts.Threads, Seed: opts.Seed, Smoke: opts.Smoke,
-		HostWorkers: savedWorkers, GoMaxProcs: runtime.GOMAXPROCS(0),
-		AllVTimesMatch: true,
+		HostWorkers: HostWorkers, GoMaxProcs: runtime.GOMAXPROCS(0),
 	}
-	wls := workloads.All()
-	campaigns := hostCampaigns(opts)
-
-	type pass struct {
-		wlDur   []time.Duration
-		wlCost  []int64
-		wlVt    []map[string]int64
-		campDur []time.Duration
-	}
-	runPass := func(fast bool) (*pass, error) {
-		interp.FastEnabled = fast
-		if fast {
-			HostWorkers = savedWorkers
-		} else {
-			HostWorkers = 1
-		}
-		resetCaches()
-		p := &pass{
-			wlDur: make([]time.Duration, len(wls)), wlCost: make([]int64, len(wls)),
-			wlVt: make([]map[string]int64, len(wls)), campDur: make([]time.Duration, len(campaigns)),
-		}
-		for i, wl := range wls {
-			d, cost, vt, err := hostBundle(wl, opts.Threads)
-			if err != nil {
-				return nil, fmt.Errorf("bench: host bundle %s: %w", wl.Name, err)
-			}
-			p.wlDur[i], p.wlCost[i], p.wlVt[i] = d, cost, vt
-		}
-		for i, c := range campaigns {
-			// Collect before starting the clock so GC debt left by the
-			// previous campaign (or, in the fast pass, by filling the memo
-			// caches) is not charged to this one.
-			runtime.GC()
-			start := time.Now()
-			if err := c.run(io.Discard); err != nil {
-				return nil, fmt.Errorf("bench: host campaign %s: %w", c.name, err)
-			}
-			p.campDur[i] = time.Since(start)
-		}
-		return p, nil
-	}
-
-	fmt.Fprintf(out, "Host performance: legacy stepper vs compiled fast path (GOMAXPROCS=%d, hostpar %d)\n",
-		rep.GoMaxProcs, savedWorkers)
-	legacy, err := runPass(false)
-	if err != nil {
-		return nil, err
-	}
-	fast, err := runPass(true)
-	if err != nil {
-		return nil, err
-	}
-
 	ms := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
 	ratio := func(a, b float64) float64 {
 		if b <= 0 {
@@ -218,63 +162,60 @@ func HostReport(out io.Writer, opts HostOptions) (*HostPerfReport, error) {
 		return a / b
 	}
 
-	var totLegacyNs, totFastNs, totCost float64
-	fmt.Fprintf(out, "  %-10s %10s %10s %8s %7s %12s %12s  %s\n",
-		"workload", "legacy-ms", "fast-ms", "speedup", "Mcost", "legacy-ns/cu", "fast-ns/cu", "vtime")
-	for i, wl := range wls {
-		t := HostWorkloadTiming{
-			Workload: wl.Name,
-			SimCost:  legacy.wlCost[i],
-			LegacyMs: ms(legacy.wlDur[i]),
-			FastMs:   ms(fast.wlDur[i]),
+	fmt.Fprintf(out, "Host performance (GOMAXPROCS=%d, hostpar %d)\n", rep.GoMaxProcs, rep.HostWorkers)
+	resetCaches()
+	var drift []string
+	var totNs, totCost float64
+	fmt.Fprintf(out, "  %-10s %10s %7s %8s  %s\n", "workload", "ms", "Mcost", "ns/cu", "golden cells")
+	for _, wl := range workloads.All() {
+		d, cost, cells, err := hostBundle(wl, opts.Threads)
+		if err != nil {
+			return nil, fmt.Errorf("bench: host bundle %s: %w", wl.Name, err)
 		}
-		t.Speedup = ratio(t.LegacyMs, t.FastMs)
-		t.LegacyNsPerCost = ratio(float64(legacy.wlDur[i].Nanoseconds()), float64(t.SimCost))
-		t.FastNsPerCost = ratio(float64(fast.wlDur[i].Nanoseconds()), float64(t.SimCost))
-		t.VTimeMatch = len(legacy.wlVt[i]) == len(fast.wlVt[i])
-		for k, v := range legacy.wlVt[i] {
-			if fast.wlVt[i][k] != v {
-				t.VTimeMatch = false
+		t := HostWorkloadTiming{Workload: wl.Name, SimCost: cost, Ms: ms(d)}
+		t.NsPerCost = ratio(float64(d.Nanoseconds()), float64(cost))
+		keys := make([]string, 0, len(cells))
+		for k := range cells {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			want, ok := golden[k]
+			if !ok {
+				continue
+			}
+			t.GoldenCells++
+			if want != cells[k] {
+				drift = append(drift, fmt.Sprintf("%s: golden %s, got %s", k, want, cells[k]))
 			}
 		}
-		if !t.VTimeMatch {
-			rep.AllVTimesMatch = false
-		}
-		totLegacyNs += float64(legacy.wlDur[i].Nanoseconds())
-		totFastNs += float64(fast.wlDur[i].Nanoseconds())
-		totCost += float64(t.SimCost)
+		rep.GoldenCells += t.GoldenCells
+		totNs += float64(d.Nanoseconds())
+		totCost += float64(cost)
 		rep.Workloads = append(rep.Workloads, t)
-		match := "match"
-		if !t.VTimeMatch {
-			match = "DRIFT"
-		}
-		fmt.Fprintf(out, "  %-10s %10.1f %10.1f %7.2fx %7.1f %12.1f %12.1f  %s\n",
-			t.Workload, t.LegacyMs, t.FastMs, t.Speedup, float64(t.SimCost)/1e6,
-			t.LegacyNsPerCost, t.FastNsPerCost, match)
+		fmt.Fprintf(out, "  %-10s %10.1f %7.1f %8.2f  %d\n", t.Workload, t.Ms, float64(cost)/1e6, t.NsPerCost, t.GoldenCells)
 	}
-	rep.LegacyNsPerCost = ratio(totLegacyNs, totCost)
-	rep.FastNsPerCost = ratio(totFastNs, totCost)
+	rep.NsPerCost = ratio(totNs, totCost)
 
-	fmt.Fprintf(out, "  %-10s %10s %10s %8s\n", "campaign", "legacy-ms", "fast-ms", "speedup")
-	for i, c := range campaigns {
-		t := HostCampaignTiming{
-			Campaign: c.name,
-			LegacyMs: ms(legacy.campDur[i]),
-			FastMs:   ms(fast.campDur[i]),
+	fmt.Fprintf(out, "  %-10s %10s\n", "campaign", "ms")
+	for _, c := range hostCampaigns(opts) {
+		// Collect before starting the clock so GC debt left by the
+		// previous campaign is not charged to this one.
+		runtime.GC()
+		start := time.Now()
+		if err := c.run(io.Discard); err != nil {
+			return nil, fmt.Errorf("bench: host campaign %s: %w", c.name, err)
 		}
-		t.Speedup = ratio(t.LegacyMs, t.FastMs)
-		rep.SuiteLegacyMs += t.LegacyMs
-		rep.SuiteFastMs += t.FastMs
+		t := HostCampaignTiming{Campaign: c.name, Ms: ms(time.Since(start))}
+		rep.SuiteMs += t.Ms
 		rep.Campaigns = append(rep.Campaigns, t)
-		fmt.Fprintf(out, "  %-10s %10.1f %10.1f %7.2fx\n", t.Campaign, t.LegacyMs, t.FastMs, t.Speedup)
+		fmt.Fprintf(out, "  %-10s %10.1f\n", t.Campaign, t.Ms)
 	}
-	rep.SuiteSpeedup = ratio(rep.SuiteLegacyMs, rep.SuiteFastMs)
-	fmt.Fprintf(out, "  suite: legacy %.1fms, fast %.1fms, %.2fx; simulator %.1f -> %.1f ns/cost-unit; vtimes match=%v\n",
-		rep.SuiteLegacyMs, rep.SuiteFastMs, rep.SuiteSpeedup,
-		rep.LegacyNsPerCost, rep.FastNsPerCost, rep.AllVTimesMatch)
+	fmt.Fprintf(out, "  suite: %.1fms; simulator %.2f ns/cost-unit; golden vtimes: %d cells checked, %d drifted\n",
+		rep.SuiteMs, rep.NsPerCost, rep.GoldenCells, len(drift))
 
-	if !rep.AllVTimesMatch {
-		return rep, fmt.Errorf("bench: fast-path virtual time drifted from the legacy stepper")
+	if len(drift) > 0 {
+		return rep, fmt.Errorf("bench: virtual time drifted from %s:\n  %s", opts.GoldenPath, strings.Join(drift, "\n  "))
 	}
 	if opts.JSONPath != "" {
 		data, err := json.MarshalIndent(rep, "", "  ")

@@ -3,23 +3,19 @@ package bench
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
 	"testing"
-
-	"repro/internal/vm/interp"
-	"repro/internal/workloads"
 )
 
-// withHostState runs fn under the given substrate (fast path on/off) and
-// host worker count, restoring the package globals and dropping every memo
-// cache afterwards so tests cannot leak state into each other.
-func withHostState(fast bool, workers int, fn func()) {
-	savedFast, savedWorkers := interp.FastEnabled, HostWorkers
-	interp.FastEnabled, HostWorkers = fast, workers
+// withHostState runs fn with the given host worker count, restoring the
+// package global and dropping every memo cache afterwards so tests cannot
+// leak state into each other.
+func withHostState(workers int, fn func()) {
+	saved := HostWorkers
+	HostWorkers = workers
 	resetCaches()
 	defer func() {
-		interp.FastEnabled, HostWorkers = savedFast, savedWorkers
+		HostWorkers = saved
 		resetCaches()
 	}()
 	fn()
@@ -50,7 +46,7 @@ func TestHostParCampaignsByteIdentical(t *testing.T) {
 	}
 	for _, c := range campaigns {
 		render := func(workers int) (text string, rep []byte) {
-			withHostState(true, workers, func() {
+			withHostState(workers, func() {
 				var buf bytes.Buffer
 				r, err := c.run(&buf)
 				if err != nil {
@@ -73,48 +69,6 @@ func TestHostParCampaignsByteIdentical(t *testing.T) {
 		if !bytes.Equal(seqRep, parRep) {
 			t.Errorf("%s: parallel cells changed the JSON report:\n--- sequential ---\n%s\n--- hostpar 4 ---\n%s",
 				c.name, seqRep, parRep)
-		}
-	}
-}
-
-// TestFastLegacyVTimesEqual: the compiled fast path must be bit-for-bit
-// virtual-time identical to the legacy stepper for every workload, every
-// applicable schedule kind, and every declared sync mode — the correctness
-// contract that lets the host benchmark call the two substrates
-// interchangeable.
-func TestFastLegacyVTimesEqual(t *testing.T) {
-	for _, wl := range workloads.All() {
-		vtimes := func(fast bool) map[string]int64 {
-			out := map[string]int64{}
-			withHostState(fast, 1, func() {
-				cp, err := compileUncached(wl, "comm", 4)
-				if err != nil {
-					t.Fatalf("compile %s (fast=%v): %v", wl.Name, fast, err)
-				}
-				out["seq"] = cp.SeqCost
-				for _, kind := range campaignKinds {
-					if cp.Schedule(kind) == nil {
-						continue
-					}
-					for _, mode := range wl.Syncs() {
-						m, err := cp.runUncached(kind, mode, 4, false)
-						if err != nil {
-							t.Fatalf("run %s %v/%v (fast=%v): %v", wl.Name, kind, mode, fast, err)
-						}
-						out[fmt.Sprintf("%v/%v", kind, mode)] = m.VirtualTime
-					}
-				}
-			})
-			return out
-		}
-		legacy, fast := vtimes(false), vtimes(true)
-		if len(legacy) != len(fast) {
-			t.Errorf("%s: substrates ran different cells: legacy %d, fast %d", wl.Name, len(legacy), len(fast))
-		}
-		for k, lv := range legacy {
-			if fv, ok := fast[k]; !ok || fv != lv {
-				t.Errorf("%s %s: virtual time drifted: legacy %d, fast %d", wl.Name, k, lv, fv)
-			}
 		}
 	}
 }

@@ -38,7 +38,7 @@ type Compiled struct {
 	// parallel runs.
 	SeqWorld *builtins.World
 
-	// runMu guards runCache, the fast-mode measurement memo (cache.go).
+	// runMu guards runCache, the measurement memo (cache.go).
 	runMu    sync.Mutex
 	runCache map[runKey]*runEntry
 }
@@ -52,14 +52,11 @@ func freshWorld(wl *workloads.Workload) *builtins.World {
 
 // Compile compiles, profiles, and analyzes one variant of a workload.
 // variant may be a variant name, or "noannot" for the pragma-stripped
-// non-COMMSET baseline of the primary source. In fast mode the artifact is
-// memoized per (workload, variant, threads) — compilation is deterministic
-// and the result is read-only, so the campaigns share one copy.
+// non-COMMSET baseline of the primary source. The artifact is memoized per
+// (workload, variant, threads) — compilation is deterministic and the
+// result is read-only, so the campaigns share one copy.
 func Compile(wl *workloads.Workload, variant string, threads int) (*Compiled, error) {
-	if interpFast() {
-		return compileCached(wl, variant, threads)
-	}
-	return compileUncached(wl, variant, threads)
+	return compileCached(wl, variant, threads)
 }
 
 func compileUncached(wl *workloads.Workload, variant string, threads int) (*Compiled, error) {
@@ -181,10 +178,7 @@ func (cp *Compiled) RunAuto(kind transform.Kind, mode exec.SyncMode, threads int
 }
 
 func (cp *Compiled) run(kind transform.Kind, mode exec.SyncMode, threads int, auto bool) (*Measurement, error) {
-	if interpFast() {
-		return cp.runCached(kind, mode, threads, auto)
-	}
-	return cp.runUncached(kind, mode, threads, auto)
+	return cp.runCached(kind, mode, threads, auto)
 }
 
 func (cp *Compiled) runUncached(kind transform.Kind, mode exec.SyncMode, threads int, auto bool) (*Measurement, error) {

@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/ir"
 	"repro/internal/pdg"
@@ -83,6 +84,19 @@ type Schedule struct {
 
 	// Notes record why schedules were or were not applicable.
 	Notes []string
+
+	compileOnce sync.Once
+	compiled    any
+}
+
+// Compiled returns an executor's compiled form of the schedule, calling
+// build on first use. The schedule owns the result, as ir.Program owns
+// its compiled code: it is built once and shared by every run of the
+// schedule. A schedule belongs to one loop of one program, and neither
+// may change after the first call.
+func (s *Schedule) Compiled(build func(*Schedule) any) any {
+	s.compileOnce.Do(func() { s.compiled = build(s) })
+	return s.compiled
 }
 
 // String renders the schedule in the paper's notation, e.g.

@@ -11,14 +11,14 @@ import (
 // runCond evaluates the loop condition group on the stepper's frame and
 // reports whether the loop should exit.
 func (m *machine) runCond(st *stepper) (bool, error) {
-	s, err := st.runGroup(m.la.Units.Cond)
+	s, err := st.runGroup(m.code.cond)
 	if err != nil {
 		return false, err
 	}
-	if s.ret {
+	if s.Ret != nil {
 		return false, fmt.Errorf("exec: loop condition returned from function")
 	}
-	return !m.la.Loop.Contains(s.nextBlk), nil
+	return !m.la.Loop.Contains(s.Next), nil
 }
 
 // sweepResult is the outcome of one completed sweep — a worker's own
@@ -111,7 +111,7 @@ func (m *machine) takeDoallCkpt(th *des.Thread, st *stepper, ws *doallState) {
 // retry can never duplicate a visible update.
 func (m *machine) runIterBody(st *stepper, fr *frame) error {
 	runUnits := func() error {
-		for _, unit := range m.la.Units.Units {
+		for _, unit := range m.code.units {
 			if _, err := st.runGroup(unit); err != nil {
 				return err
 			}
@@ -253,7 +253,7 @@ func (m *machine) doallSweep(th *des.Thread, st *stepper, ws *doallState, sched 
 			ws.lastIter = iter
 			ws.ranBody = true
 		}
-		if _, err := st.runGroup(m.la.Units.Post); err != nil {
+		if _, err := st.runGroup(m.code.post); err != nil {
 			if abort, fatal := bail(err); abort {
 				return sweepResult{}, false, fatal
 			}
@@ -413,7 +413,7 @@ func (m *machine) doallSalvage(th *des.Thread, d doallDone, share, nshares int, 
 				lastIter = iter
 			}
 		}
-		if _, err := st.runGroup(m.la.Units.Post); err != nil {
+		if _, err := st.runGroup(m.code.post); err != nil {
 			m.fail(role, err)
 			break
 		}

@@ -366,10 +366,8 @@ type machine struct {
 	// for private slots); cells stays the iteration-order registry.
 	cellAt []*sharedCell
 
-	// fast, when non-nil, is the slot-resolved global metadata of the
-	// compiled substrate (interp.FastEnabled at machine construction). The
-	// legacy stepper keeps its name-keyed heap access.
-	fast *machineFast
+	// code is the schedule's compiled main-frame code.
+	code *schedCode
 
 	// callees memoizes callInfo by callee index (ir.Instr.Callee).
 	callees []*callInfo
@@ -379,17 +377,9 @@ type machine struct {
 
 	tm tmLog
 
-	// instrPos locates every instruction of main: block ID and index,
-	// indexed by the dense instruction ID.
-	instrPos []instrLoc
 	// unitOf maps loop instruction IDs to unit indices (-1 for control,
 	// noUnit for instructions outside the loop), indexed by instruction ID.
 	unitOf []int
-	// groupSets memoizes the dense membership sets instruction groups are
-	// executed under (see stepper.runGroup).
-	groupSets map[groupKey][]bool
-	// exitBlock is the loop's unique exit target.
-	exitBlock int
 
 	// svc, when non-nil, marks a service-mode (open-system) run: the
 	// executors record per-request latency, admission, and degradation
@@ -430,17 +420,6 @@ func (m *machine) fail(role string, err error) {
 // failed reports whether an unrecoverable fault has been recorded.
 func (m *machine) failed() bool { return m.failDiag != nil }
 
-type instrLoc struct {
-	block int
-	index int
-}
-
-// groupKey identifies an instruction group by its backing list.
-type groupKey struct {
-	first *ir.Instr
-	n     int
-}
-
 // noUnit marks instructions outside the parallelized loop in unitOf.
 const noUnit = -2
 
@@ -478,40 +457,17 @@ func (m *machine) callee(in *ir.Instr) *callInfo {
 	return ci
 }
 
-// machineFast carries the slot-indexed fast layer of one machine: the
-// global heap slot of each of main's global loads and stores, indexed by
-// the dense instruction ID.
-type machineFast struct {
-	gslot []int32
-}
-
-// buildFast precomputes the slot-indexed tables for main's instructions.
-func (m *machine) buildFast(numInstrs int) *machineFast {
-	fa := &machineFast{gslot: make([]int32, numInstrs)}
-	for i := range fa.gslot {
-		fa.gslot[i] = -1
-	}
-	for _, b := range m.la.Fn.Blocks {
-		for _, in := range b.Instrs {
-			if in.Op == ir.OpLoadGlobal || in.Op == ir.OpStoreGlobal {
-				fa.gslot[in.ID] = int32(m.env.Globals.SlotOf(in.Name))
-			}
-		}
-	}
-	return fa
-}
-
 func newMachine(cfg Config, la *pipeline.LoopAnalysis, sched *transform.Schedule, mode SyncMode) *machine {
 	numInstrs := la.Fn.NumInstrs()
 	m := &machine{
-		cfg:      cfg,
-		la:       la,
-		sched:    sched,
-		mode:     mode,
-		env:      interp.NewEnv(cfg.Prog, cfg.Builtins),
-		locks:    map[*types.Set]*des.Lock{},
-		cells:    map[int]*sharedCell{},
-		instrPos: make([]instrLoc, numInstrs),
+		cfg:   cfg,
+		la:    la,
+		sched: sched,
+		mode:  mode,
+		env:   interp.NewEnv(cfg.Prog, cfg.Builtins),
+		locks: map[*types.Set]*des.Lock{},
+		cells: map[int]*sharedCell{},
+		code:  codeOf(cfg.Prog, la, sched),
 	}
 	m.callees = make([]*callInfo, len(m.env.Prog.Callees))
 	m.cellAt = make([]*sharedCell, len(la.Fn.Locals))
@@ -519,11 +475,6 @@ func newMachine(cfg Config, la *pipeline.LoopAnalysis, sched *transform.Schedule
 		c := &sharedCell{}
 		m.cells[s] = c
 		m.cellAt[s] = c
-	}
-	for _, b := range la.Fn.Blocks {
-		for i, in := range b.Instrs {
-			m.instrPos[in.ID] = instrLoc{block: b.ID, index: i}
-		}
 	}
 	m.unitOf = make([]int, numInstrs)
 	for i := range m.unitOf {
@@ -539,14 +490,6 @@ func newMachine(cfg Config, la *pipeline.LoopAnalysis, sched *transform.Schedule
 	}
 	for _, in := range la.Units.Post {
 		m.unitOf[in.ID] = -1
-	}
-	m.exitBlock = -1
-	for _, e := range la.Loop.Exits {
-		m.exitBlock = e
-		break
-	}
-	if interp.FastEnabled {
-		m.fast = m.buildFast(numInstrs)
 	}
 	return m
 }
@@ -564,7 +507,7 @@ func (m *machine) runMain(th *des.Thread, threads int) error {
 	st := m.newStepper(th, fr)
 
 	// Prologue: entry block to the loop header.
-	if err := st.runBlocks(0, m.la.Loop.Header); err != nil {
+	if _, err := st.runGroup(m.code.prologue); err != nil {
 		return err
 	}
 
@@ -592,8 +535,9 @@ func (m *machine) runMain(th *des.Thread, threads int) error {
 	}
 
 	// Epilogue: from the loop exit to the end of main.
-	if m.exitBlock < 0 {
+	if m.code.epilogue == nil {
 		return nil
 	}
-	return st.runBlocks(m.exitBlock, -1)
+	_, err = st.runGroup(m.code.epilogue)
+	return err
 }

@@ -384,7 +384,7 @@ loop:
 		locals := make([]value.Value, len(fr.locals))
 		copy(locals, fr.locals) // iteration-start snapshot
 		for _, u := range m.sched.Stages[0].Units {
-			if _, err := st.runGroup(m.la.Units.Units[u]); err != nil {
+			if _, err := st.runGroup(m.code.units[u]); err != nil {
 				if abort, fatal := bail(err); abort {
 					return fatal
 				}
@@ -396,7 +396,7 @@ loop:
 		}
 		st.flush()
 		out[int(iter)%len(out)].push(th, token{iter: iter, locals: locals})
-		if _, err := st.runGroup(m.la.Units.Post); err != nil {
+		if _, err := st.runGroup(m.code.post); err != nil {
 			if abort, fatal := bail(err); abort {
 				return fatal
 			}
@@ -630,7 +630,7 @@ func (m *machine) stageRun(th *des.Thread, st *stepper, ss *stageState, in []*qR
 			fr.locals[i] = v
 		}
 		for _, u := range stage.Units {
-			if _, err := st.runGroup(m.la.Units.Units[u]); err != nil {
+			if _, err := st.runGroup(m.code.units[u]); err != nil {
 				if !m.resilient() {
 					return err
 				}

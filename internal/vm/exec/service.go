@@ -572,7 +572,7 @@ func (m *machine) runServiceMain(th *des.Thread, threads int) error {
 	f := m.la.Fn
 	fr := newFrame(f)
 	st := m.newStepper(th, fr)
-	if err := st.runBlocks(0, m.la.Loop.Header); err != nil {
+	if _, err := st.runGroup(m.code.prologue); err != nil {
 		return err
 	}
 	for slot, cell := range m.cells {
@@ -610,10 +610,11 @@ func (m *machine) runServiceMain(th *des.Thread, threads int) error {
 	for slot, cell := range m.cells {
 		fr.locals[slot] = cell.v
 	}
-	if m.exitBlock < 0 {
+	if m.code.epilogue == nil {
 		return nil
 	}
-	return st.runBlocks(m.exitBlock, -1)
+	_, err = st.runGroup(m.code.epilogue)
+	return err
 }
 
 // spawnArrivals starts the request-generation thread: per request, sleep the
@@ -688,7 +689,7 @@ func (m *machine) svcSequential(th *des.Thread, st *stepper) error {
 		} else {
 			sv.complete(req.arrival, th.VTime, th.VTime-start)
 		}
-		if _, err := st.runGroup(m.la.Units.Post); err != nil {
+		if _, err := st.runGroup(m.code.post); err != nil {
 			m.fail("dispatcher", err)
 		}
 	}
@@ -741,7 +742,7 @@ func (m *machine) svcDOALL(th *des.Thread, st *stepper, mainFr *frame, threads i
 		locals := make([]value.Value, len(st.fr.locals))
 		copy(locals, st.fr.locals)
 		th.Push(dispatch, svcWork{iter: iter, arrival: req.arrival, locals: locals})
-		if _, err := st.runGroup(m.la.Units.Post); err != nil {
+		if _, err := st.runGroup(m.code.post); err != nil {
 			m.fail("dispatcher", err)
 		}
 		iter++
@@ -965,7 +966,7 @@ func (m *machine) svcPipeline(th *des.Thread, st *stepper, mainFr *frame, thread
 		copy(locals, fr.locals)
 		bad := false
 		for _, u := range stages[0].Units {
-			if _, err := st.runGroup(m.la.Units.Units[u]); err != nil {
+			if _, err := st.runGroup(m.code.units[u]); err != nil {
 				m.fail("dispatcher", err)
 				sv.failed++
 				bad = true
@@ -979,7 +980,7 @@ func (m *machine) svcPipeline(th *des.Thread, st *stepper, mainFr *frame, thread
 			st.flush()
 			out[int(iter)%len(out)].push(th, token{iter: iter, arrival: req.arrival, locals: locals})
 		}
-		if _, err := st.runGroup(m.la.Units.Post); err != nil {
+		if _, err := st.runGroup(m.code.post); err != nil {
 			m.fail("dispatcher", err)
 		}
 		iter++

@@ -46,8 +46,8 @@ func (fr *frame) clone() *frame {
 	return nf
 }
 
-// stepper executes main-frame instructions on behalf of one simulated
-// thread, bridging to the interpreter for callee bodies.
+// stepper runs main's compiled groups on behalf of one simulated thread,
+// bridging to the interpreter for callee bodies.
 type stepper struct {
 	m  *machine
 	th *des.Thread
@@ -74,8 +74,8 @@ type stepper struct {
 
 	flushed int64 // portion of it.Cost already charged to th
 
-	// invokeFn is the one reusable invoke closure for main-frame calls on
-	// the fast substrate; it reads the call set by execCallArgs in
+	// invokeFn is the one reusable invoke closure for main-frame calls;
+	// it reads the call set by execCallArgs in
 	// callIn/callArgs/callMember. Exec-level calls never nest within one
 	// stepper (callee bodies run in the interpreter, which has its own
 	// reusable closure), so a single set of fields suffices, and
@@ -90,6 +90,7 @@ func (m *machine) newStepper(th *des.Thread, fr *frame) *stepper {
 	st := &stepper{m: m, th: th, fr: fr}
 	st.it = interp.NewThread(m.env)
 	st.it.ID = th.ID
+	st.it.Host = st
 	if m.cfg.Sanitize != nil {
 		st.it.Tracer = m.cfg.Sanitize
 	}
@@ -307,195 +308,12 @@ func (st *stepper) mergePrivatized() {
 	st.privCommits = nil
 }
 
-// stop describes why instruction stepping halted.
-type stop struct {
-	ret     bool      // an OpRet executed
-	next    *ir.Instr // first instruction outside the set (nil on ret)
-	nextBlk int       // its block
-}
-
-// exec runs instructions starting at `start` while inSet admits them.
-func (st *stepper) exec(start *ir.Instr, inSet func(*ir.Instr) bool) (stop, error) {
-	f := st.m.la.Fn
-	cur := start
-	for {
-		if cur == nil {
-			return stop{}, fmt.Errorf("exec: fell off instruction stream in %s", f.Name)
-		}
-		if !inSet(cur) {
-			return stop{next: cur, nextBlk: st.m.instrPos[cur.ID].block}, nil
-		}
-		branch, isRet, err := st.stepInstr(cur)
-		if err != nil {
-			return stop{}, err
-		}
-		if isRet {
-			return stop{ret: true}, nil
-		}
-		if branch >= 0 {
-			blk := f.BlockByID(branch)
-			if len(blk.Instrs) == 0 {
-				return stop{}, fmt.Errorf("exec: branch to empty block b%d", branch)
-			}
-			cur = blk.Instrs[0]
-			continue
-		}
-		loc := st.m.instrPos[cur.ID]
-		blk := f.BlockByID(loc.block)
-		if loc.index+1 >= len(blk.Instrs) {
-			return stop{}, fmt.Errorf("exec: block b%d missing terminator", loc.block)
-		}
-		cur = blk.Instrs[loc.index+1]
-	}
-}
-
-// runBlocks executes from the start of block `from` until entering block
-// `until` (or returning from the function when until is -1).
-func (st *stepper) runBlocks(from, until int) error {
-	f := st.m.la.Fn
-	blk := f.BlockByID(from)
-	if len(blk.Instrs) == 0 {
-		return fmt.Errorf("exec: empty block b%d", from)
-	}
-	inSet := func(in *ir.Instr) bool {
-		return until < 0 || st.m.instrPos[in.ID].block != until
-	}
-	s, err := st.exec(blk.Instrs[0], inSet)
-	if err != nil {
-		return err
-	}
-	if !s.ret && until >= 0 && s.nextBlk != until {
-		return fmt.Errorf("exec: stopped at b%d, expected b%d", s.nextBlk, until)
-	}
-	return nil
-}
-
-// groupSet returns the dense membership set of an instruction group,
-// memoized per backing list: groups (units, condition, post increment) are
-// fixed for the whole run but executed once per iteration, so the set is
-// built once instead of per execution.
-func (m *machine) groupSet(instrs []*ir.Instr) []bool {
-	key := groupKey{first: instrs[0], n: len(instrs)}
-	if set, ok := m.groupSets[key]; ok {
-		return set
-	}
-	set := make([]bool, len(m.instrPos))
-	for _, in := range instrs {
-		set[in.ID] = true
-	}
-	if m.groupSets == nil {
-		m.groupSets = map[groupKey][]bool{}
-	}
-	m.groupSets[key] = set
-	return set
-}
-
-// runGroup executes one instruction group (a unit, the condition, or the
-// post increment) to completion on the current frame.
-func (st *stepper) runGroup(instrs []*ir.Instr) (stop, error) {
-	if len(instrs) == 0 {
-		return stop{}, nil
-	}
-	set := st.m.groupSet(instrs)
-	return st.exec(instrs[0], func(in *ir.Instr) bool { return set[in.ID] })
-}
-
-// stepInstr executes one instruction. It returns the branch target block
-// (-1 when falling through) and whether an OpRet executed.
-func (st *stepper) stepInstr(in *ir.Instr) (branchTo int, isRet bool, err error) {
-	st.th.Charge(interp.CostPerInstr)
-	fr := st.fr
-	clearTag := func(dst int) {
-		if dst >= 0 {
-			fr.sharedSrc[dst] = 0
-		}
-	}
-	switch in.Op {
-	case ir.OpConst:
-		clearTag(in.Dst)
-		fr.regs[in.Dst] = in.Val
-	case ir.OpLoadLocal:
-		clearTag(in.Dst)
-		if st.sharedActive && st.m.isShared(in.Slot) {
-			if mon := st.m.cfg.Sanitize; mon != nil {
-				mon.Cell(st.th.ID, in.Slot, false)
-			}
-			fr.regs[in.Dst] = st.m.cellAt[in.Slot].v
-			fr.sharedSrc[in.Dst] = in.Slot + 1
-		} else {
-			fr.regs[in.Dst] = fr.locals[in.Slot]
-		}
-	case ir.OpStoreLocal:
-		if st.sharedActive && st.m.isShared(in.Slot) {
-			st.effects++
-			if mon := st.m.cfg.Sanitize; mon != nil {
-				mon.Cell(st.th.ID, in.Slot, true)
-			}
-			st.m.cellAt[in.Slot].v = fr.regs[in.A]
-		} else {
-			fr.locals[in.Slot] = fr.regs[in.A]
-		}
-	case ir.OpLoadGlobal:
-		clearTag(in.Dst)
-		if mon := st.m.cfg.Sanitize; mon != nil {
-			mon.TraceGlobal(st.th.ID, in.Name, false)
-		}
-		if fa := st.m.fast; fa != nil && fa.gslot[in.ID] >= 0 {
-			fr.regs[in.Dst] = st.m.env.Globals.GetSlot(int(fa.gslot[in.ID]))
-		} else {
-			fr.regs[in.Dst] = st.m.env.Globals.Get(in.Name)
-		}
-	case ir.OpStoreGlobal:
-		st.it.HeapWrites++
-		if mon := st.m.cfg.Sanitize; mon != nil {
-			mon.TraceGlobal(st.th.ID, in.Name, true)
-		}
-		if fa := st.m.fast; fa != nil && fa.gslot[in.ID] >= 0 {
-			st.m.env.Globals.SetSlot(int(fa.gslot[in.ID]), fr.regs[in.A])
-		} else {
-			st.m.env.Globals.Set(in.Name, fr.regs[in.A])
-		}
-	case ir.OpBin:
-		clearTag(in.Dst)
-		v, e := interp.EvalBinInstr(in, fr.regs[in.A], fr.regs[in.B])
-		if e != nil {
-			return 0, false, fmt.Errorf("%s: %v", in.Pos, e)
-		}
-		fr.regs[in.Dst] = v
-	case ir.OpUn:
-		clearTag(in.Dst)
-		v, e := interp.EvalUnInstr(in, fr.regs[in.A])
-		if e != nil {
-			return 0, false, fmt.Errorf("%s: %v", in.Pos, e)
-		}
-		fr.regs[in.Dst] = v
-	case ir.OpCall:
-		clearTag(in.Dst)
-		if err := st.execCall(in); err != nil {
-			return 0, false, err
-		}
-	case ir.OpBr:
-		return in.Targets[0], false, nil
-	case ir.OpCondBr:
-		if fr.regs[in.A].AsBool() {
-			return in.Targets[0], false, nil
-		}
-		return in.Targets[1], false, nil
-	case ir.OpRet:
-		return -1, true, nil
-	}
-	return -1, false, nil
-}
-
 // execCall performs a top-level call in the main frame, applying member
 // synchronization, shared-argument refresh, and shared OutSlot writeback.
-// On the fast substrate the argument slice is carved from the interpreter
-// thread's scratch arena (released once the call's results are consumed;
-// see interp.Thread.ScratchSlice).
+// The argument slice is carved from the interpreter thread's scratch arena
+// (released once the call's results are consumed; see
+// interp.Thread.ScratchSlice).
 func (st *stepper) execCall(in *ir.Instr) error {
-	if st.m.fast == nil {
-		return st.execCallArgs(in, make([]value.Value, len(in.Args)))
-	}
 	mark := st.it.ScratchMark()
 	err := st.execCallArgs(in, st.it.ScratchSlice(len(in.Args)))
 	st.it.ScratchRelease(mark)
@@ -534,19 +352,11 @@ func (st *stepper) execCallArgs(in *ir.Instr, args []value.Value) error {
 		}
 	}
 
-	var invoke func() ([]value.Value, error)
-	if st.m.fast != nil {
-		if st.invokeFn == nil {
-			st.invokeFn = st.invokeCurrent
-		}
-		st.callIn, st.callArgs, st.callMember = in, args, member
-		invoke = st.invokeFn
-	} else {
-		invoke = func() ([]value.Value, error) {
-			st.callIn, st.callArgs, st.callMember = in, args, member
-			return st.invokeCurrent()
-		}
+	if st.invokeFn == nil {
+		st.invokeFn = st.invokeCurrent
 	}
+	st.callIn, st.callArgs, st.callMember = in, args, member
+	invoke := st.invokeFn
 
 	var rets []value.Value
 	var err error

@@ -4,10 +4,9 @@ import (
 	"testing"
 
 	"repro/internal/vm/interp"
-	"repro/internal/vm/value"
 )
 
-// benchSrc exercises the shapes the compiled fast path targets: global
+// benchSrc exercises the shapes the compiled engine targets: global
 // read-modify-writes, local arithmetic, and user-function and builtin
 // calls inside a loop.
 const benchSrc = `
@@ -23,14 +22,12 @@ void main() {
 	emit(s);
 }`
 
-// benchRun times whole-program execution on one substrate. Each iteration
-// gets a fresh environment so both substrates do identical work; the
-// compiled code cache persists across iterations, as it does across
+// BenchmarkRunCompiled times whole-program execution on the compiled
+// engine: pre-compiled per-function code, slot-indexed globals,
+// segment-summed costs. Each iteration gets a fresh environment; the
+// program's compiled code persists across iterations, as it does across
 // campaign cells.
-func benchRun(b *testing.B, fast bool) {
-	saved := interp.FastEnabled
-	interp.FastEnabled = fast
-	defer func() { interp.FastEnabled = saved }()
+func BenchmarkRunCompiled(b *testing.B) {
 	res, sink := compile(b, benchSrc)
 	fns := builtinsFor(sink)
 	b.ReportAllocs()
@@ -40,43 +37,5 @@ func benchRun(b *testing.B, fast bool) {
 		if err := interp.NewThread(env).RunMain(); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkRunLegacy is the per-instruction legacy stepper with name-keyed
-// global access — the host benchmark's baseline substrate.
-func BenchmarkRunLegacy(b *testing.B) { benchRun(b, false) }
-
-// BenchmarkRunCompiled is the closure-compiled fast path: pre-compiled
-// per-function code, slot-indexed globals, segment-summed costs.
-func BenchmarkRunCompiled(b *testing.B) { benchRun(b, true) }
-
-// BenchmarkHeapByName measures the legacy name-keyed global access pair
-// (one load plus one store through the heap's name map).
-func BenchmarkHeapByName(b *testing.B) {
-	res, _ := compile(b, benchSrc)
-	h := interp.NewEnv(res.Prog, nil).Globals
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		v := h.Get("g")
-		h.Set("g", value.Int(v.AsInt()+1))
-	}
-}
-
-// BenchmarkHeapSlot measures the same access pair through the resolved
-// slot index — the fast substrate's representation.
-func BenchmarkHeapSlot(b *testing.B) {
-	res, _ := compile(b, benchSrc)
-	h := interp.NewEnv(res.Prog, nil).Globals
-	slot := h.SlotOf("g")
-	if slot < 0 {
-		b.Fatal("global g has no slot")
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		v := h.GetSlot(slot)
-		h.SetSlot(slot, value.Int(v.AsInt()+1))
 	}
 }

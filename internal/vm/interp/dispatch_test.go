@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/ast"
@@ -74,6 +75,47 @@ func TestOperatorTablesComplete(t *testing.T) {
 			}
 		} else if binOps[o] == nil {
 			t.Errorf("binary %v has no evaluator", o)
+		}
+	}
+}
+
+// TestMalformedIRDiagnosed: blocks that fall through without a terminator
+// (including an empty branch target), branches to missing blocks and
+// undeclared globals are diagnosed when compiled and reported when run,
+// without a panic; a terminator mid-block ends its block.
+func TestMalformedIRDiagnosed(t *testing.T) {
+	ret := &ir.Instr{Op: ir.OpRet}
+	cases := []struct {
+		name   string
+		blocks [][]*ir.Instr
+		want   string // error text; "" runs cleanly
+	}{
+		{"no terminator", [][]*ir.Instr{{{Op: ir.OpConst, Dst: 0, Val: value.Int(1)}}},
+			"interp: block b0 of main fell through without terminator"},
+		{"empty target", [][]*ir.Instr{{{Op: ir.OpBr, Targets: [2]int{1}}}, {}},
+			"interp: block b1 of main fell through without terminator"},
+		{"missing target", [][]*ir.Instr{{{Op: ir.OpConst, Dst: 0, Val: value.Bool(false)}, {Op: ir.OpCondBr, A: 0, Targets: [2]int{1, 7}}}, {ret}},
+			"interp: block b0 of main branches to missing block b7"},
+		{"undeclared global", [][]*ir.Instr{{{Op: ir.OpLoadGlobal, Dst: 0, Name: "g"}, ret}},
+			"undeclared global g"},
+		{"terminator mid-block", [][]*ir.Instr{{ret, {Op: ir.OpConst, Dst: 0, Val: value.Int(1)}}}, ""},
+	}
+	for _, c := range cases {
+		p := &ir.Program{}
+		main := &ir.Func{Name: "main", NumRegs: 1}
+		for _, instrs := range c.blocks {
+			main.NewBlock().Instrs = instrs
+		}
+		p.AddFunc(main)
+		main.Renumber()
+		p.ResolveNames()
+		th := NewThread(NewEnv(p, nil))
+		err := th.RunMain()
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%s: %v", c.name, err)
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+			t.Errorf("%s: err = %v, want %q", c.name, err, c.want)
 		}
 	}
 }

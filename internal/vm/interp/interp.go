@@ -33,8 +33,8 @@ type BuiltinFn func(args []value.Value) (value.Value, int64, error)
 // serializes thread execution, so no locking is needed.
 //
 // Storage is a dense slice indexed by slot; slots are assigned in program
-// declaration order (so the compiled fast path can resolve a global name to
-// its slot once, at load time, and index the slice directly). The named
+// declaration order (so compiled code resolves a global name to its slot
+// once, at compile time, and indexes the slice directly). The named
 // Get/Set/Snapshot API is preserved for snapshots, tracing, and tests.
 type Heap struct {
 	vals  []value.Value
@@ -43,7 +43,7 @@ type Heap struct {
 }
 
 // NewHeap initializes globals from the program's declarations. Slot i holds
-// prog.Globals[i], which is the contract the compiled fast path relies on.
+// prog.Globals[i], which is the contract compiled code relies on.
 func NewHeap(prog *ir.Program) *Heap {
 	h := &Heap{
 		vals:  make([]value.Value, len(prog.Globals)),
@@ -78,23 +78,6 @@ func (h *Heap) Set(name string, v value.Value) {
 	h.vals = append(h.vals, v)
 }
 
-// SlotOf returns the slot index of a declared global, or -1.
-func (h *Heap) SlotOf(name string) int {
-	if i, ok := h.idx[name]; ok {
-		return i
-	}
-	return -1
-}
-
-// GetSlot reads the global stored in slot i.
-func (h *Heap) GetSlot(i int) value.Value { return h.vals[i] }
-
-// SetSlot writes the global stored in slot i.
-func (h *Heap) SetSlot(i int, v value.Value) { h.vals[i] = v }
-
-// Len returns the number of global slots.
-func (h *Heap) Len() int { return len(h.vals) }
-
 // Snapshot copies the globals (used by STM validation and tests).
 func (h *Heap) Snapshot() map[string]value.Value {
 	out := make(map[string]value.Value, len(h.vals))
@@ -102,20 +85,6 @@ func (h *Heap) Snapshot() map[string]value.Value {
 		out[name] = h.vals[i]
 	}
 	return out
-}
-
-// SnapshotSlots copies the global slots into dst (grown as needed) and
-// returns it. Unlike Snapshot it allocates nothing when dst already has
-// capacity, which is what the high-frequency capture paths (STM
-// validation, sanitizer state capture) want.
-func (h *Heap) SnapshotSlots(dst []value.Value) []value.Value {
-	dst = append(dst[:0], h.vals...)
-	return dst
-}
-
-// RestoreSlots writes a SnapshotSlots image back into the heap.
-func (h *Heap) RestoreSlots(src []value.Value) {
-	copy(h.vals, src)
 }
 
 // Range calls fn for every global in slot order without allocating.
@@ -154,11 +123,13 @@ type Profile struct {
 	Func  string
 	Cost  []int64
 	Total int64
+
+	fn *ir.Func
 }
 
-// NewProfile prepares a profile for the named function.
+// NewProfile prepares a profile for f.
 func NewProfile(f *ir.Func) *Profile {
-	return &Profile{Func: f.Name, Cost: make([]int64, f.NumInstrs())}
+	return &Profile{Func: f.Name, Cost: make([]int64, f.NumInstrs()), fn: f}
 }
 
 // Interceptor wraps a call instruction's execution. invoke performs the
@@ -196,14 +167,18 @@ type Thread struct {
 	Tracer Tracer
 
 	// Profile, when set, accumulates per-instruction cost for the function
-	// it names.
+	// it was made for.
 	Profile *Profile
+
+	// Host is the embedding executor's state for this thread, opaque to
+	// the interpreter: ops an executor compiles itself reach it here.
+	Host any
 
 	// depth guards against runaway recursion in user programs.
 	depth int
 
-	// scratch is a stack arena for call-argument and builtin-result slices
-	// on the fast path: execCall carves each call's arguments here (and
+	// scratch is a stack arena for call-argument and builtin-result
+	// slices: execCall carves each call's arguments here (and
 	// CallByName its builtin's single result) and pops them once the
 	// call's results are consumed, so nested calls reuse one growing
 	// backing array instead of allocating per call. Sound because nothing
@@ -216,7 +191,7 @@ type Thread struct {
 	brackets int
 
 	// invokeFn is the one reusable invoke closure handed to the
-	// interceptor on the fast path; it reads the current call from
+	// interceptor; it reads the current call from
 	// curIn/curArgs, which execCallArgs saves and restores around nested
 	// calls (so it stays correct across interceptor-level retries too).
 	invokeFn func() ([]value.Value, error)
@@ -224,20 +199,20 @@ type Thread struct {
 	curArgs  []value.Value
 }
 
-// ScratchMark opens a fast-path arena bracket and returns the position to
+// ScratchMark opens an arena bracket and returns the position to
 // pop back to; paired with ScratchRelease by every caller that carves.
 func (t *Thread) ScratchMark() int {
 	t.brackets++
 	return len(t.scratch)
 }
 
-// ScratchRelease closes a fast-path arena bracket, popping back to mark.
+// ScratchRelease closes an arena bracket, popping back to mark.
 func (t *Thread) ScratchRelease(mark int) {
 	t.brackets--
 	t.scratch = t.scratch[:mark]
 }
 
-// ScratchSlice carves an n-element slice from the fast-path arena,
+// ScratchSlice carves an n-element slice from the arena,
 // capacity-clamped so callee carves can never alias it.
 func (t *Thread) ScratchSlice(n int) []value.Value {
 	m := len(t.scratch)
@@ -281,7 +256,7 @@ func (t *Thread) Call(in *ir.Instr, args []value.Value) ([]value.Value, error) {
 func (t *Thread) call(i int, args []value.Value) ([]value.Value, error) {
 	pc := t.Env.code
 	if i < len(pc.funcs) {
-		return t.exec(pc.funcs[i], pc.fns[i], args)
+		return t.exec(pc.fns[i], args)
 	}
 	if b := t.Env.builtinAt[i]; b != nil {
 		return t.callBuiltin(t.Env.Prog.Callees[i], b, args)
@@ -299,7 +274,7 @@ func (t *Thread) callBuiltin(name string, b BuiltinFn, args []value.Value) ([]va
 	if err != nil {
 		return nil, err
 	}
-	if FastEnabled && t.brackets > 0 {
+	if t.brackets > 0 {
 		m := len(t.scratch)
 		t.scratch = append(t.scratch, v)
 		return t.scratch[m : m+1 : m+1], nil
@@ -307,124 +282,9 @@ func (t *Thread) callBuiltin(name string, b BuiltinFn, args []value.Value) ([]va
 	return []value.Value{v}, nil
 }
 
-// exec runs f, whose compiled code is fc (nil: legacy stepper only).
-func (t *Thread) exec(f *ir.Func, fc *fnCode, args []value.Value) ([]value.Value, error) {
-	if fc != nil && FastEnabled && (t.Profile == nil || t.Profile.Func != f.Name) {
-		return t.execFast(fc, args)
-	}
-	if t.depth >= maxDepth {
-		return nil, fmt.Errorf("interp: call depth exceeded in %s", f.Name)
-	}
-	t.depth++
-	defer func() { t.depth-- }()
-
-	locals := make([]value.Value, len(f.Locals))
-	for i := range locals {
-		locals[i] = value.Zero(f.Locals[i].Type)
-	}
-	if len(args) != f.Params {
-		return nil, fmt.Errorf("interp: %s expects %d args, got %d", f.Name, f.Params, len(args))
-	}
-	copy(locals, args)
-	regs := make([]value.Value, f.NumRegs)
-
-	profiling := t.Profile != nil && t.Profile.Func == f.Name
-
-	blk := f.Entry()
-	for {
-		redirected := false
-		for _, in := range blk.Instrs {
-			var before int64
-			if profiling {
-				before = t.Cost
-			}
-			next, done, rets, err := t.step(f, in, regs, locals)
-			if profiling {
-				d := t.Cost - before
-				t.Profile.Cost[in.ID] += d
-				t.Profile.Total += d
-			}
-			if err != nil {
-				return nil, err
-			}
-			if done {
-				return rets, nil
-			}
-			if next >= 0 {
-				blk = f.BlockByID(next)
-				redirected = true
-				break
-			}
-		}
-		if !redirected {
-			return nil, fmt.Errorf("interp: block b%d of %s fell through without terminator", blk.ID, f.Name)
-		}
-	}
-}
-
-// step executes one instruction. It returns the next block ID (>= 0 on a
-// branch), or done=true with return values on OpRet.
-func (t *Thread) step(f *ir.Func, in *ir.Instr, regs, locals []value.Value) (next int, done bool, rets []value.Value, err error) {
-	t.Cost += CostPerInstr
-	switch in.Op {
-	case ir.OpConst:
-		regs[in.Dst] = in.Val
-	case ir.OpLoadLocal:
-		regs[in.Dst] = locals[in.Slot]
-	case ir.OpStoreLocal:
-		locals[in.Slot] = regs[in.A]
-	case ir.OpLoadGlobal:
-		if t.Tracer != nil {
-			t.Tracer.TraceGlobal(t.ID, in.Name, false)
-		}
-		regs[in.Dst] = t.Env.Globals.Get(in.Name)
-	case ir.OpStoreGlobal:
-		t.HeapWrites++
-		if t.Tracer != nil {
-			t.Tracer.TraceGlobal(t.ID, in.Name, true)
-		}
-		t.Env.Globals.Set(in.Name, regs[in.A])
-	case ir.OpBin:
-		v, e := EvalBinInstr(in, regs[in.A], regs[in.B])
-		if e != nil {
-			return 0, false, nil, fmt.Errorf("%s: %v", in.Pos, e)
-		}
-		regs[in.Dst] = v
-	case ir.OpUn:
-		v, e := EvalUnInstr(in, regs[in.A])
-		if e != nil {
-			return 0, false, nil, fmt.Errorf("%s: %v", in.Pos, e)
-		}
-		regs[in.Dst] = v
-	case ir.OpCall:
-		if e := t.execCall(in, regs, locals); e != nil {
-			return 0, false, nil, e
-		}
-	case ir.OpBr:
-		return in.Targets[0], false, nil, nil
-	case ir.OpCondBr:
-		if regs[in.A].AsBool() {
-			return in.Targets[0], false, nil, nil
-		}
-		return in.Targets[1], false, nil, nil
-	case ir.OpRet:
-		out := make([]value.Value, len(in.Args))
-		for i, r := range in.Args {
-			out[i] = regs[r]
-		}
-		return 0, true, out, nil
-	}
-	return -1, false, nil, nil
-}
-
+// execCall runs one call instruction, carving its argument slice from
+// the scratch arena.
 func (t *Thread) execCall(in *ir.Instr, regs, locals []value.Value) error {
-	if !FastEnabled {
-		args := make([]value.Value, len(in.Args))
-		for i, r := range in.Args {
-			args[i] = regs[r]
-		}
-		return t.execCallArgs(in, regs, locals, args)
-	}
 	mark := t.ScratchMark()
 	args := t.ScratchSlice(len(in.Args))
 	for i, r := range in.Args {
@@ -441,10 +301,9 @@ func (t *Thread) execCall(in *ir.Instr, regs, locals []value.Value) error {
 func (t *Thread) execCallArgs(in *ir.Instr, regs, locals, args []value.Value) error {
 	var rets []value.Value
 	var err error
-	switch {
-	case t.Interceptor == nil:
+	if t.Interceptor == nil {
 		rets, err = t.call(in.Callee, args)
-	case FastEnabled:
+	} else {
 		if t.invokeFn == nil {
 			t.invokeFn = func() ([]value.Value, error) { return t.call(t.curIn.Callee, t.curArgs) }
 		}
@@ -452,9 +311,6 @@ func (t *Thread) execCallArgs(in *ir.Instr, regs, locals, args []value.Value) er
 		t.curIn, t.curArgs = in, args
 		rets, err = t.Interceptor(t, in, args, t.invokeFn)
 		t.curIn, t.curArgs = savedIn, savedArgs
-	default:
-		invoke := func() ([]value.Value, error) { return t.call(in.Callee, args) }
-		rets, err = t.Interceptor(t, in, args, invoke)
 	}
 	if err != nil {
 		return err
