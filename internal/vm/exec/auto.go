@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"sync/atomic"
+
 	"repro/internal/pipeline"
 	"repro/internal/profile"
 	"repro/internal/transform"
@@ -48,12 +50,23 @@ func (a *AutoOptions) sliceIters() int64 {
 // workload the fixed policies already serve best keeps them. Candidates
 // whose slice fails (e.g. a schedule the workload cannot run) are
 // skipped.
+//
+// Each slice runs with a watchdog budget of the best slice time so far
+// (or the caller's budget, if smaller), so a losing slice stops once it
+// cannot win. That cannot change the pick: a slice that finishes within
+// the budget never requests an event past it, so it runs unchanged, and
+// any other slice could not have won, since a candidate wins only with a
+// strictly smaller time. The budget needs fresh substrates (a cut slice
+// must not leave a shortened side-effect trail behind) and stays off
+// under the sanitizer, which records every slice.
 func autoTune(cfg Config, la *pipeline.LoopAnalysis, sched *transform.Schedule, mode SyncMode, threads int) transform.Tuning {
 	a := cfg.Auto
 	cands := a.Candidates
 	if cands == nil {
 		cands = profile.TuneCandidates(sched.Kind, threads)
 	}
+	bounded := a.Fresh != nil && cfg.Sanitize == nil
+	var bestSoFar atomic.Int64 // 0 until a slice finishes
 	times := make([]int64, len(cands))
 	slice := func(i int) error {
 		c := cfg
@@ -63,13 +76,21 @@ func autoTune(cfg Config, la *pipeline.LoopAnalysis, sched *transform.Schedule, 
 		if a.Fresh != nil {
 			c.Builtins = a.Fresh()
 		}
+		if b := bestSoFar.Load(); bounded && b > 0 && (c.Watchdog.MaxVTime <= 0 || b < c.Watchdog.MaxVTime) {
+			c.Watchdog.MaxVTime = b
+		}
 		times[i] = -1
 		r, err := Run(c, la, sched, mode, threads)
 		if err != nil {
 			return nil // a failing slice just removes its candidate
 		}
 		times[i] = r.VirtualTime
-		return nil
+		for {
+			b := bestSoFar.Load()
+			if (b > 0 && b <= r.VirtualTime) || bestSoFar.CompareAndSwap(b, r.VirtualTime) {
+				return nil
+			}
+		}
 	}
 	if a.Parallel != nil {
 		_ = a.Parallel(len(cands), slice)
