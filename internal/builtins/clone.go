@@ -64,12 +64,8 @@ func (w *World) Clone() *World {
 
 	c.nodes = append([]emNode(nil), w.nodes...)
 
-	c.traceBitmaps = make([]traceBitmap, len(w.traceBitmaps))
-	for i, tb := range w.traceBitmaps {
-		cp := tb
-		cp.bits = append([]byte(nil), tb.bits...)
-		c.traceBitmaps[i] = cp
-	}
+	// Bitmap bits are read-only and shared across worlds (cachedBitmap).
+	c.traceBitmaps = append([]traceBitmap(nil), w.traceBitmaps...)
 	c.outImages = append([]string(nil), w.outImages...)
 
 	c.kmPoints = w.kmPoints
@@ -169,7 +165,7 @@ func (w *World) ObservableState(base Baseline) map[string]string {
 
 	var freshMats []string
 	for h, m := range w.matrices {
-		// Matrices are immutable after creation, so fast mode memoizes
+		// Matrices are immutable after creation, so the substrate memoizes
 		// their rendering by backing-array identity (the arrays are shared
 		// across clones and recur on every replay diff).
 		r := cachedFloatRender(m, func() string { return renderFloats(m) })

@@ -14,16 +14,21 @@ import (
 // single-output-file mode the writes must stay in sequential order.
 
 // AddBitmaps installs n deterministic synthetic bitmaps of the given size.
+// The bits are a pure function of the bitmap index and side, so every
+// world shares one read-only copy.
 func (w *World) AddBitmaps(n, side int) {
 	for b := 0; b < n; b++ {
-		bits := make([]byte, side*side)
-		h := uint64(b)*0x9e3779b97f4a7c15 + 7
-		for i := range bits {
-			h = h*6364136223846793005 + 1442695040888963407
-			if (h>>33)%5 < 2 {
-				bits[i] = 1
+		bits := cachedBitmap(b, side, func() []byte {
+			bits := make([]byte, side*side)
+			h := uint64(b)*0x9e3779b97f4a7c15 + 7
+			for i := range bits {
+				h = h*6364136223846793005 + 1442695040888963407
+				if (h>>33)%5 < 2 {
+					bits[i] = 1
+				}
 			}
-		}
+			return bits
+		})
 		w.traceBitmaps = append(w.traceBitmaps, traceBitmap{w: side, h: side, bits: bits})
 	}
 }
