@@ -123,7 +123,7 @@ func Figure6(wl *workloads.Workload, maxThreads int, auto bool) (*Figure, error)
 		}
 		schedLabel := ""
 		for t := 1; t <= maxThreads; t++ {
-			m, err := cp.run(spec.kind, spec.sync, t, auto)
+			m, err := cp.runCached(spec.kind, spec.sync, t, auto)
 			if err != nil {
 				return nil, fmt.Errorf("fig6 %s %v+%v@%d: %w", wl.Name, spec.kind, spec.sync, t, err)
 			}

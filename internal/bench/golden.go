@@ -17,6 +17,11 @@ import (
 // cell. TestGoldenVTimes checks every cell; the host benchmark checks the
 // cells of its own pass against the same lines.
 
+// seqKey names a primary-variant sequential baseline in the golden file.
+func seqKey(wl string, threads int) string {
+	return fmt.Sprintf("grid/%s/seq/t%d", wl, threads)
+}
+
 // gridKey names a primary-variant schedule cell in the golden file.
 func gridKey(wl string, kind transform.Kind, mode exec.SyncMode, threads int) string {
 	return fmt.Sprintf("grid/%s/%v/%v/t%d", wl, kind, mode, threads)

@@ -99,7 +99,7 @@ func goldenCells(t *testing.T) map[string]string {
 				if err != nil {
 					t.Fatalf("compile %s/t%d: %v", wl.Name, threads, err)
 				}
-				put(fmt.Sprintf("grid/%s/seq/t%d", wl.Name, threads), goldenResult(cp.SeqCost, cp.SeqWorld))
+				put(seqKey(wl.Name, threads), goldenResult(cp.SeqCost, cp.SeqWorld))
 				for _, kind := range campaignKinds {
 					if cp.Schedule(kind) == nil {
 						continue

@@ -83,7 +83,7 @@ func hostBundle(wl *workloads.Workload, threads int) (time.Duration, int64, map[
 		return 0, 0, nil, err
 	}
 	cells := map[string]string{
-		fmt.Sprintf("grid/%s/seq/t%d", wl.Name, threads): goldenResult(cp.SeqCost, cp.SeqWorld),
+		seqKey(wl.Name, threads): goldenResult(cp.SeqCost, cp.SeqWorld),
 	}
 	runs := int64(2) // the profiling run and the sequential baseline
 	mode := wl.Syncs()[0]

@@ -166,7 +166,7 @@ type Measurement struct {
 // stages (Sequential and DSWP always; PS-DSWP's sequential stages preserve
 // iteration order; DOALL never).
 func (cp *Compiled) Run(kind transform.Kind, mode exec.SyncMode, threads int) (*Measurement, error) {
-	return cp.run(kind, mode, threads, false)
+	return cp.runCached(kind, mode, threads, false)
 }
 
 // RunAuto is Run with the profile-guided auto-scheduler enabled: the
@@ -174,11 +174,7 @@ func (cp *Compiled) Run(kind transform.Kind, mode exec.SyncMode, threads int) (*
 // short slices (each against a throwaway world) and the measured run
 // adopts the fastest tuning.
 func (cp *Compiled) RunAuto(kind transform.Kind, mode exec.SyncMode, threads int) (*Measurement, error) {
-	return cp.run(kind, mode, threads, true)
-}
-
-func (cp *Compiled) run(kind transform.Kind, mode exec.SyncMode, threads int, auto bool) (*Measurement, error) {
-	return cp.runCached(kind, mode, threads, auto)
+	return cp.runCached(kind, mode, threads, true)
 }
 
 func (cp *Compiled) runUncached(kind transform.Kind, mode exec.SyncMode, threads int, auto bool) (*Measurement, error) {

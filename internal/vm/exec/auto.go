@@ -56,16 +56,18 @@ func (a *AutoOptions) sliceIters() int64 {
 // cannot win. That cannot change the pick: a slice that finishes within
 // the budget never requests an event past it, so it runs unchanged, and
 // any other slice could not have won, since a candidate wins only with a
-// strictly smaller time. The budget needs fresh substrates (a cut slice
-// must not leave a shortened side-effect trail behind) and stays off
-// under the sanitizer, which records every slice.
+// strictly smaller time. A cut slice must not change what later runs
+// see, so the budget needs fresh substrates and stays off under the
+// sanitizer, which records every slice, and with fault hooks, whose state
+// every slice advances.
 func autoTune(cfg Config, la *pipeline.LoopAnalysis, sched *transform.Schedule, mode SyncMode, threads int) transform.Tuning {
 	a := cfg.Auto
 	cands := a.Candidates
 	if cands == nil {
 		cands = profile.TuneCandidates(sched.Kind, threads)
 	}
-	bounded := a.Fresh != nil && cfg.Sanitize == nil
+	bounded := a.Fresh != nil && cfg.Sanitize == nil && cfg.CrashCheck == nil &&
+		cfg.Straggle == nil && cfg.ExtraAborts == nil && cfg.PushDelay == nil
 	var bestSoFar atomic.Int64 // 0 until a slice finishes
 	times := make([]int64, len(cands))
 	slice := func(i int) error {

@@ -106,20 +106,20 @@ func (c *mainCompiler) span(b, i int, in func(int, *ir.Instr) bool) *interp.Code
 	return interp.Compile(c.prog, c.f, interp.Span{Block: b, Index: i, In: in, Op: c.op, Call: c.call})
 }
 
-// op compiles main's shared-slot accesses, which go through the shared
-// cells while the loop runs and tag the registers they load, and clears
-// the tag of a tagged register any other instruction writes. The
-// interpreter's own ops serve every other instruction.
-func (c *mainCompiler) op(in *ir.Instr) interp.Op {
+// op replaces the interpreter's op for main's shared-slot accesses, which
+// go through the shared cells while the loop runs and tag the registers
+// they load, and wraps any other write to a tagged register to clear the
+// tag.
+func (c *mainCompiler) op(in *ir.Instr, op interp.Op) interp.Op {
 	switch {
 	case in.Op == ir.OpLoadLocal && c.isShared(in.Slot):
 		return sharedLoad(in.Dst, in.Slot)
 	case in.Op == ir.OpStoreLocal && c.isShared(in.Slot):
 		return sharedStore(in.Slot, in.A)
 	case in.Op == ir.OpStoreLocal || in.Op == ir.OpStoreGlobal || !c.isTagged(in.Dst):
-		return nil
+		return op
 	}
-	dst, op := in.Dst, interp.CompileOp(c.prog, in)
+	dst := in.Dst
 	return func(t *interp.Thread, regs, locals []value.Value) error {
 		t.Host.(*stepper).fr.sharedSrc[dst] = 0
 		return op(t, regs, locals)

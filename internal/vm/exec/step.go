@@ -75,11 +75,11 @@ type stepper struct {
 	flushed int64 // portion of it.Cost already charged to th
 
 	// invokeFn is the one reusable invoke closure for main-frame calls;
-	// it reads the call set by execCallArgs in
-	// callIn/callArgs/callMember. Exec-level calls never nest within one
-	// stepper (callee bodies run in the interpreter, which has its own
-	// reusable closure), so a single set of fields suffices, and
-	// interceptor-level retries reuse them unchanged.
+	// it reads the call set by execCallArgs in callIn/callArgs/callMember.
+	// Exec-level calls never nest within one stepper (callee bodies run in
+	// the interpreter, which has its own reusable closure), so a single
+	// set of fields suffices, and interceptor-level retries reuse them
+	// unchanged.
 	invokeFn   func() ([]value.Value, error)
 	callIn     *ir.Instr
 	callArgs   []value.Value

@@ -24,9 +24,10 @@ type Span struct {
 	// (nil: the whole function). Control leaves the span on reaching an
 	// instruction outside it.
 	In func(b int, in *ir.Instr) bool
-	// Op, when set, compiles the straight-line instructions it returns a
-	// non-nil op for; the interpreter's own ops serve the rest.
-	Op func(in *ir.Instr) Op
+	// Op, when set, receives the interpreter's op for each straight-line
+	// instruction and returns the op to run: that op, a replacement, or a
+	// wrapper.
+	Op func(in *ir.Instr, op Op) Op
 	// Call, when set, runs the span's call instructions in place of the
 	// interpreter's call path.
 	Call CallFn
@@ -160,12 +161,11 @@ func compileSpan(f *ir.Func, sp Span, gslot map[string]int) *Code {
 		in = func(int, *ir.Instr) bool { return true }
 	}
 	opOf := func(ins *ir.Instr) Op {
+		op := compileOp(ins, gslot)
 		if sp.Op != nil {
-			if op := sp.Op(ins); op != nil {
-				return op
-			}
+			op = sp.Op(ins, op)
 		}
-		return compileOp(ins, gslot)
+		return op
 	}
 	at := map[[2]int]int{} // (block, index) → piece
 	var pieceAt func(b, i int) int
@@ -242,13 +242,6 @@ func compileSpan(f *ir.Func, sp Span, gslot map[string]int) *Code {
 		c.pieces = []piece{{cond: -1, succ: [2]edge{{piece: -1, err: fmt.Errorf("interp: %s has no block b%d", f.Name, sp.Block)}}}}
 	}
 	return c
-}
-
-// CompileOp builds the op of one straight-line instruction of prog (any
-// instruction but a call or a terminator), resolving globals to their
-// heap slots.
-func CompileOp(prog *ir.Program, in *ir.Instr) Op {
-	return compileOp(in, codeOf(prog).gslot)
 }
 
 func compileOp(in *ir.Instr, gslot map[string]int) Op {

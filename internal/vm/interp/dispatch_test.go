@@ -80,9 +80,10 @@ func TestOperatorTablesComplete(t *testing.T) {
 }
 
 // TestMalformedIRDiagnosed: blocks that fall through without a terminator
-// (including an empty branch target), branches to missing blocks and
-// undeclared globals are diagnosed when compiled and reported when run,
-// without a panic; a terminator mid-block ends its block.
+// (including an empty branch target), branches to missing blocks, a
+// function without blocks and undeclared globals are diagnosed when
+// compiled and reported when run, without a panic; a terminator mid-block
+// ends its block.
 func TestMalformedIRDiagnosed(t *testing.T) {
 	ret := &ir.Instr{Op: ir.OpRet}
 	cases := []struct {
@@ -98,6 +99,7 @@ func TestMalformedIRDiagnosed(t *testing.T) {
 			"interp: block b0 of main branches to missing block b7"},
 		{"undeclared global", [][]*ir.Instr{{{Op: ir.OpLoadGlobal, Dst: 0, Name: "g"}, ret}},
 			"undeclared global g"},
+		{"no blocks", nil, "interp: main has no block b0"},
 		{"terminator mid-block", [][]*ir.Instr{{ret, {Op: ir.OpConst, Dst: 0, Val: value.Int(1)}}}, ""},
 	}
 	for _, c := range cases {
