@@ -78,13 +78,13 @@ bench-sanitize:
 bench-steal:
 	$(GO) run ./cmd/commsetbench -steal -smoke -novet -steal-json BENCH_steal.json
 
-# Host wall-clock smoke: run the campaign suite once on the legacy
-# stepper and once on the compiled fast substrate (cold caches each
-# pass), gate virtual times bit-for-bit, and write the wall-clock and
-# ns/cost-unit comparison to BENCH_host.json (the CI artifact). The
-# >25% fast-substrate ns/cost-unit check against the committed
+# Host wall-clock smoke: one pass from cold caches over the workload
+# simulation bundles and the campaign suite, with the bundles' virtual
+# times and output hashes checked against the golden vtime file, and the
+# wall-clock and ns/cost-unit written to BENCH_host.json (the CI
+# artifact). The >25% ns/cost-unit check against the committed
 # BENCH_host.json is advisory only — CI host clocks are noisy (see
-# EXPERIMENTS.md); the vtime gate is the hard failure.
+# EXPERIMENTS.md); the golden vtime check is the hard failure.
 bench-host:
 	$(GO) run ./cmd/commsetbench -host -smoke -novet -hostpar 4 -host-json BENCH_host.json -host-baseline BENCH_host.json
 
@@ -93,5 +93,5 @@ bench-host:
 # the schedule-report smoke, the fault-injection (crash/restart) smoke,
 # the open-system service smoke, the dynamic-sanitizer smoke, the
 # work-stealing straggler smoke, and the host wall-clock smoke with its
-# vtime bit-for-bit gate.
+# golden vtime check.
 verify: build vet staticcheck fmt race vet-precision bench-schedule bench-faults bench-service bench-sanitize bench-steal bench-host
