@@ -31,24 +31,10 @@ func codeOf(prog *ir.Program, la *pipeline.LoopAnalysis, sched *transform.Schedu
 
 func compileSchedule(prog *ir.Program, la *pipeline.LoopAnalysis, sched *transform.Schedule) *schedCode {
 	f := la.Fn
-	c := &mainCompiler{
-		prog:   prog,
-		f:      f,
-		shared: make([]bool, len(f.Locals)),
-		tagged: make([]bool, f.NumRegs),
-	}
+	c := &mainCompiler{prog: prog, f: f, shared: make([]bool, len(f.Locals))}
 	for _, s := range sched.SharedSlots {
 		if s >= 0 && s < len(c.shared) {
 			c.shared[s] = true
-		}
-	}
-	// Only a shared-slot load tags a register, so with no shared slots
-	// tagging compiles away entirely.
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			if in.Op == ir.OpLoadLocal && c.isShared(in.Slot) && in.Dst >= 0 {
-				c.tagged[in.Dst] = true
-			}
 		}
 	}
 	sc := &schedCode{cond: c.group(la.Units.Cond), post: c.group(la.Units.Post)}
@@ -67,15 +53,10 @@ type mainCompiler struct {
 	prog   *ir.Program
 	f      *ir.Func
 	shared []bool // frame slot → promoted to a shared cell
-	tagged []bool // register → may carry a shared-cell tag
 }
 
 func (c *mainCompiler) isShared(slot int) bool {
 	return slot >= 0 && slot < len(c.shared) && c.shared[slot]
-}
-
-func (c *mainCompiler) isTagged(r int) bool {
-	return r >= 0 && r < len(c.tagged) && c.tagged[r]
 }
 
 // group compiles an instruction group: it starts at the group's first
@@ -103,37 +84,28 @@ func (c *mainCompiler) blocks(from, until int) *interp.Code {
 }
 
 func (c *mainCompiler) span(b, i int, in func(int, *ir.Instr) bool) *interp.Code {
-	return interp.Compile(c.prog, c.f, interp.Span{Block: b, Index: i, In: in, Op: c.op, Call: c.call})
+	return interp.Compile(c.prog, c.f, interp.Span{Block: b, Index: i, In: in, Op: c.op, Call: mainCall})
 }
 
 // op replaces the interpreter's op for main's shared-slot accesses, which
 // go through the shared cells while the loop runs and tag the registers
-// they load, and wraps any other write to a tagged register to clear the
-// tag.
+// they load; with no shared slots, main runs the interpreter's ops alone.
+// Lowering defines every register once, so only its shared-slot load
+// writes a tagged register, and that load sets or clears the tag itself.
 func (c *mainCompiler) op(in *ir.Instr, op interp.Op) interp.Op {
 	switch {
 	case in.Op == ir.OpLoadLocal && c.isShared(in.Slot):
 		return sharedLoad(in.Dst, in.Slot)
 	case in.Op == ir.OpStoreLocal && c.isShared(in.Slot):
 		return sharedStore(in.Slot, in.A)
-	case in.Op == ir.OpStoreLocal || in.Op == ir.OpStoreGlobal || !c.isTagged(in.Dst):
-		return op
 	}
-	dst := in.Dst
-	return func(t *interp.Thread, regs, locals []value.Value) error {
-		t.Host.(*stepper).fr.sharedSrc[dst] = 0
-		return op(t, regs, locals)
-	}
+	return op
 }
 
-// call runs a main-frame call through the stepper's member
+// mainCall runs a main-frame call through the stepper's member
 // synchronization and shared-cell plumbing.
-func (c *mainCompiler) call(t *interp.Thread, in *ir.Instr, regs, locals []value.Value) error {
-	st := t.Host.(*stepper)
-	if c.isTagged(in.Dst) {
-		st.fr.sharedSrc[in.Dst] = 0
-	}
-	return st.execCall(in)
+func mainCall(t *interp.Thread, in *ir.Instr, regs, locals []value.Value) error {
+	return t.Host.(*stepper).execCall(in)
 }
 
 // sharedLoad reads a promoted slot: from its shared cell while the loop

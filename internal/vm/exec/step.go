@@ -17,8 +17,8 @@ type frame struct {
 	regs   []value.Value
 	// sharedSrc tags registers whose value was loaded from a shared slot
 	// (stored as slot+1; 0 means untagged — a dense slice instead of a map
-	// keeps the per-instruction tag bookkeeping off the heap); member calls
-	// re-read tagged cells inside their atomic section.
+	// keeps the tag bookkeeping off the heap); member calls re-read tagged
+	// cells inside their atomic section.
 	sharedSrc []int
 }
 
