@@ -19,19 +19,6 @@ import (
 	"repro/internal/workloads"
 )
 
-// Effectful derives the builtins with externally visible writes from the
-// substrate's effect table; the resilient executor refuses to re-execute a
-// DOALL iteration that already completed one of them.
-func Effectful(w *builtins.World) map[string]bool {
-	out := map[string]bool{}
-	for name, d := range w.EffectTable() {
-		if len(d.Writes) > 0 {
-			out[name] = true
-		}
-	}
-	return out
-}
-
 // DefaultPlans is the standard fault campaign: five recoverable plans (one
 // per fault class) and one permanent plan that every schedule must convert
 // into a diagnosed error.
@@ -354,7 +341,7 @@ func cleanBaseline(cp *Compiled, sched *transform.Schedule, mode exec.SyncMode, 
 		Cost:      des.DefaultCostModel(),
 		Recovery:  exec.DefaultRecovery(),
 		Watchdog:  des.Watchdog{MaxEvents: 5_000_000},
-		Effectful: Effectful(w),
+		Effectful: w.Effectful(),
 	}, cp.LA, sched, mode, threads)
 	if err != nil {
 		return 0, err
@@ -386,7 +373,7 @@ func runFaulted(cp *Compiled, sched *transform.Schedule, kind transform.Kind, mo
 			Watchdog:    des.Watchdog{MaxEvents: 5_000_000},
 			PushDelay:   inj.QueueDelay,
 			ExtraAborts: inj.ExtraAborts,
-			Effectful:   Effectful(w),
+			Effectful:   w.Effectful(),
 		}
 		if plan.HasCrash() {
 			// Arm the checkpoint layer only for plans that can kill a

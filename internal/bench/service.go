@@ -197,7 +197,7 @@ func (sc *svcCompiled) config(w *builtins.World, plan *faults.Plan) exec.Config 
 		Cost:      des.DefaultCostModel(),
 		Recovery:  exec.DefaultRecovery(),
 		Watchdog:  des.Watchdog{MaxEvents: 5_000_000},
-		Effectful: Effectful(w),
+		Effectful: w.Effectful(),
 	}
 	if plan != nil {
 		inj := faults.NewInjector(*plan)

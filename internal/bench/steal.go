@@ -146,7 +146,7 @@ func runStealCell(cp *Compiled, threads int, plan *faults.Plan, steal bool) (Ste
 			Cost:      des.DefaultCostModel(),
 			Recovery:  exec.DefaultRecovery(),
 			Watchdog:  des.Watchdog{MaxEvents: 5_000_000},
-			Effectful: Effectful(w),
+			Effectful: w.Effectful(),
 			Tune:      transform.Tuning{Steal: steal},
 		}
 		if plan != nil {

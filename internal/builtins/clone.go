@@ -7,9 +7,9 @@ import (
 	"strings"
 )
 
-// Clone deep-copies the world's mutable state into a fresh World whose
-// builtin closures capture the copy. Immutable payloads (file data,
-// buffer contents, kmeans points, packets, db rows, graph topology) are
+// Clone deep-copies the world's mutable state into a fresh World; the
+// clone's Fns act on the copy. Immutable payloads (file data, buffer
+// contents, kmeans points, packets, routes, db rows, graph topology) are
 // shared; everything a builtin can mutate in place is copied. The
 // sanitizer uses clones as replayable pre-state snapshots.
 func (w *World) Clone() *World {
@@ -76,7 +76,7 @@ func (w *World) Clone() *World {
 
 	c.packets = w.packets
 	c.pktNext = w.pktNext
-	c.routes = append([]string(nil), w.routes...)
+	c.routes = w.routes
 	c.logLines = append([]string(nil), w.logLines...)
 
 	return c

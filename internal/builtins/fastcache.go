@@ -5,18 +5,20 @@ import "sync"
 // Substrate memoization. Substrate contents are deterministic functions of
 // their generation parameters (AddFile data from the file index, bitmaps
 // from their index and side, matrices from the handle, transaction rows
-// from a fixed seed), and several heavy builtins are pure functions of
-// immutable inputs (md5_buf, hmm_score, burn). The substrate therefore
-// shares generated data and memoizes those results across runs and
-// campaign cells — virtual cost accounting is untouched, only redundant
-// host work disappears.
+// from a fixed seed, packet i from i alone), and several heavy builtins
+// are pure functions of immutable inputs (md5_buf, hmm_score, burn,
+// bmp_trace's edge count). The substrate therefore shares generated data
+// and memoizes those results across runs and campaign cells — virtual
+// cost accounting is untouched, only redundant host work disappears. (The
+// builtin registry itself is built once per process; see world.go.)
 //
 // All cached data is immutable by construction: file data, bitmap bits,
-// matrix contents, and transaction rows are never written after creation (the
-// substrate's only mutating operations replace whole handles or write
-// distinct state). Caches are guarded by one mutex — campaign cells on
-// host-parallel runs share them safely — and reset when they outgrow
-// fastCacheCap so long campaigns cannot accumulate unbounded memory.
+// matrix contents, transaction rows and packets are never written after
+// creation (the substrate's only mutating operations replace whole handles
+// or write distinct state). Caches are guarded by one mutex — campaign
+// cells on host-parallel runs share them safely — and reset when they
+// outgrow fastCacheCap, and the packet pool stops growing at fastCacheCap
+// packets, so long campaigns cannot accumulate unbounded memory.
 
 const fastCacheCap = 1 << 14
 
@@ -30,6 +32,13 @@ var (
 	scoreCache map[scoreKey]int64
 	burnCache  map[int64]int64
 	fltCache   map[floatsKey]string
+	edgeCache  map[edgeKey]int
+
+	// pktPool is the packet pool generated so far and pktState the
+	// generator state after its last packet; SetupPackets extends it by
+	// prefix and hands out clipped prefixes.
+	pktPool  []packet
+	pktState = uint64(pktSeed)
 )
 
 type fileKey struct {
@@ -59,6 +68,13 @@ type scoreKey struct {
 	seqLen  int
 	mat     int64
 	matLen  int
+}
+
+// edgeKey identifies a potrace bitmap by the identity of its bits and
+// its width.
+type edgeKey struct {
+	bits  bufKey
+	width int
 }
 
 // floatsKey identifies a float slice by backing-array identity, with the
@@ -238,12 +254,58 @@ func cachedFloatRender(s []float64, gen func() string) string {
 	return r
 }
 
+// cachedPackets returns the first n deterministic packets, clipped to
+// [:n:n]. Packet i does not depend on n, so one pool serves every size:
+// a larger n extends it by prefix. Appends only write past every prefix
+// already handed out, so readers never see a write. Beyond fastCacheCap
+// packets the pool is generated uncached.
+func cachedPackets(n int) []packet {
+	if n > fastCacheCap {
+		pool, _ := genPackets(nil, pktSeed, n)
+		return pool
+	}
+	fastMu.Lock()
+	defer fastMu.Unlock()
+	if len(pktPool) < n {
+		pktPool, pktState = genPackets(pktPool, pktState, n)
+	}
+	return pktPool[:n:n]
+}
+
+// cachedEdges memoizes bmp_trace's boundary count of a potrace bitmap by
+// the backing-array identity of its bits (shared across worlds by
+// cachedBitmap, and never written) and its width.
+func cachedEdges(bits []byte, width int, gen func() int) int {
+	if len(bits) == 0 {
+		return gen()
+	}
+	key := edgeKey{bufKey{&bits[0], len(bits)}, width}
+	fastMu.Lock()
+	if e, ok := edgeCache[key]; ok {
+		fastMu.Unlock()
+		return e
+	}
+	fastMu.Unlock()
+	e := gen()
+	fastMu.Lock()
+	if len(edgeCache) >= fastCacheCap {
+		edgeCache = nil
+	}
+	if edgeCache == nil {
+		edgeCache = map[edgeKey]int{}
+	}
+	edgeCache[key] = e
+	fastMu.Unlock()
+	return e
+}
+
 // ResetFastCaches drops every substrate memo, so a measurement can start
 // cold.
 func ResetFastCaches() {
 	fastMu.Lock()
 	fileCache, bmpCache, matCache, txnCache, md5Cache = nil, nil, nil, nil, nil
-	scoreCache, burnCache, fltCache = nil, nil, nil
+	scoreCache, burnCache, fltCache, edgeCache = nil, nil, nil, nil
+	pktPool, pktState = nil, pktSeed
 	fastMu.Unlock()
 }
 

@@ -14,11 +14,11 @@ import (
 
 const hmmAlphabet = 20
 
-func (w *World) registerHMM() {
+func registerHMM(r *registrar) {
 	// seq_gen draws a random sequence of the given length from the shared
 	// RNG and returns its handle (stored as a buffer of residues).
-	w.register("seq_gen", []ast.Type{ast.TInt}, ast.TInt, rw("rng.seed"),
-		func(args []value.Value) (value.Value, int64, error) {
+	r.register("seq_gen", []ast.Type{ast.TInt}, ast.TInt, rw("rng.seed"),
+		func(w *World, args []value.Value) (value.Value, int64, error) {
 			n := args[0].AsInt()
 			if n <= 0 {
 				return value.Value{}, 0, errArg("seq_gen", "non-positive length")
@@ -34,8 +34,8 @@ func (w *World) registerHMM() {
 	// matrix_alloc allocates an n-state scoring matrix from the shared
 	// allocator (the alloc/dealloc pair the paper lets commute on separate
 	// iterations).
-	w.register("matrix_alloc", []ast.Type{ast.TInt}, ast.TInt, rw("heap.matrix"),
-		func(args []value.Value) (value.Value, int64, error) {
+	r.register("matrix_alloc", []ast.Type{ast.TInt}, ast.TInt, rw("heap.matrix"),
+		func(w *World, args []value.Value) (value.Value, int64, error) {
 			n := args[0].AsInt()
 			if n <= 0 {
 				return value.Value{}, 0, errArg("matrix_alloc", "non-positive size")
@@ -67,8 +67,8 @@ func (w *World) registerHMM() {
 	// *other* iterations' matrices, and deferred reclamation makes that
 	// reordering harmless, as in the original system. Double frees are
 	// still detected.
-	w.register("matrix_free", []ast.Type{ast.TInt}, ast.TVoid, rw("heap.matrix"),
-		func(args []value.Value) (value.Value, int64, error) {
+	r.register("matrix_free", []ast.Type{ast.TInt}, ast.TVoid, rw("heap.matrix"),
+		func(w *World, args []value.Value) (value.Value, int64, error) {
 			h := args[0].AsInt()
 			if _, ok := w.matrices[h]; !ok {
 				return value.Value{}, 0, errArg("matrix_free", "bad matrix handle")
@@ -83,8 +83,8 @@ func (w *World) registerHMM() {
 
 	// hmm_score runs a small Viterbi-style dynamic program of the sequence
 	// against the matrix: the real compute of the loop.
-	w.register("hmm_score", []ast.Type{ast.TInt, ast.TInt}, ast.TInt, effects.Decl{},
-		func(args []value.Value) (value.Value, int64, error) {
+	r.register("hmm_score", []ast.Type{ast.TInt, ast.TInt}, ast.TInt, effects.Decl{},
+		func(w *World, args []value.Value) (value.Value, int64, error) {
 			seq, err := w.buf(args[0].AsInt())
 			if err != nil {
 				return value.Value{}, 0, err
@@ -131,15 +131,15 @@ func (w *World) registerHMM() {
 
 	// histogram_add performs the abstract SUM the paper marks
 	// self-commutative despite its floating-point internals.
-	w.register("histogram_add", []ast.Type{ast.TInt}, ast.TVoid, rw("histogram"),
-		func(args []value.Value) (value.Value, int64, error) {
+	r.register("histogram_add", []ast.Type{ast.TInt}, ast.TVoid, rw("histogram"),
+		func(w *World, args []value.Value) (value.Value, int64, error) {
 			bucket := args[0].AsInt() / 50
 			w.histo[bucket]++
 			w.histoCount++
 			return value.Void(), 60, nil
 		})
-	w.register("histogram_count", nil, ast.TInt, rw("histogram"),
-		func(args []value.Value) (value.Value, int64, error) {
+	r.register("histogram_count", nil, ast.TInt, rw("histogram"),
+		func(w *World, args []value.Value) (value.Value, int64, error) {
 			return value.Int(w.histoCount), 10, nil
 		})
 }

@@ -51,16 +51,16 @@ func (w *World) KMCounts() []int64 {
 	return out
 }
 
-func (w *World) registerKMeans() {
-	w.register("km_points", nil, ast.TInt, effects.Decl{},
-		func(args []value.Value) (value.Value, int64, error) {
+func registerKMeans(r *registrar) {
+	r.register("km_points", nil, ast.TInt, effects.Decl{},
+		func(w *World, args []value.Value) (value.Value, int64, error) {
 			return value.Int(int64(len(w.kmPoints))), 10, nil
 		})
 	// km_nearest: distance of point i to every center — the heavy compute.
 	// It reads the stable current centers only (the new centers being
 	// accumulated are separate state, as in STAMP's kmeans).
-	w.register("km_nearest", []ast.Type{ast.TInt}, ast.TInt, effects.Decl{Reads: []effects.Loc{effects.TagLoc("centers.cur")}},
-		func(args []value.Value) (value.Value, int64, error) {
+	r.register("km_nearest", []ast.Type{ast.TInt}, ast.TInt, effects.Decl{Reads: []effects.Loc{effects.TagLoc("centers.cur")}},
+		func(w *World, args []value.Value) (value.Value, int64, error) {
 			i := args[0].AsInt()
 			if i < 0 || i >= int64(len(w.kmPoints)) {
 				return value.Value{}, 0, errArg("km_nearest", "bad point")
@@ -83,8 +83,8 @@ func (w *World) registerKMeans() {
 		})
 	// km_update folds point i into new center c's running mean and records
 	// the assignment: the commutative update.
-	w.register("km_update", []ast.Type{ast.TInt, ast.TInt}, ast.TVoid, rw("centers.new"),
-		func(args []value.Value) (value.Value, int64, error) {
+	r.register("km_update", []ast.Type{ast.TInt, ast.TInt}, ast.TVoid, rw("centers.new"),
+		func(w *World, args []value.Value) (value.Value, int64, error) {
 			i, c := args[0].AsInt(), args[1].AsInt()
 			if i < 0 || i >= int64(len(w.kmPoints)) {
 				return value.Value{}, 0, errArg("km_update", "bad point")
@@ -103,8 +103,8 @@ func (w *World) registerKMeans() {
 		})
 	// km_swap installs the accumulated means as the new current centers
 	// (the outer algorithm step, outside the hot loop).
-	w.register("km_swap", nil, ast.TVoid, rw("centers.cur", "centers.new"),
-		func(args []value.Value) (value.Value, int64, error) {
+	r.register("km_swap", nil, ast.TVoid, rw("centers.cur", "centers.new"),
+		func(w *World, args []value.Value) (value.Value, int64, error) {
 			for c := range w.kmNew {
 				if w.kmCounts[c] == 0 {
 					continue

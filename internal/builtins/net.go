@@ -20,35 +20,57 @@ var urlPatterns = []string{
 	"/search", "/checkout", "/cart", "/product", "/admin", "/health",
 }
 
-// SetupPackets installs n deterministic packets.
+// SetupPackets installs n deterministic packets. Packet i is a pure
+// function of i, so every world shares one read-only pool.
 func (w *World) SetupPackets(n int) {
-	h := uint64(0xdeadbeef)
-	for i := 0; i < n; i++ {
+	pool := cachedPackets(n)
+	if len(w.packets) == 0 {
+		w.packets = pool
+	} else {
+		w.packets = append(w.packets, pool...)
+	}
+	w.routes = urlRoutes
+}
+
+// pktSeed is the packet generator's initial state.
+const pktSeed = 0xdeadbeef
+
+// genPackets extends pool to n packets, continuing the generator from
+// state h (the state after the pool's last packet; pktSeed for an empty
+// pool), and returns the new pool and state.
+func genPackets(pool []packet, h uint64, n int) ([]packet, uint64) {
+	for i := len(pool); i < n; i++ {
 		h = h*6364136223846793005 + 1442695040888963407
 		pat := urlPatterns[h%uint64(len(urlPatterns))]
-		w.packets = append(w.packets, packet{
+		pool = append(pool, packet{
 			url:  fmt.Sprintf("%s/%d?session=%d", pat, i, h%9973),
 			size: int64(200 + h%1200),
 		})
 	}
-	w.routes = make([]string, len(urlPatterns))
-	for i, p := range urlPatterns {
-		w.routes[i] = "route" + fmt.Sprintf("%d:%s", i, p)
-	}
+	return pool, h
 }
+
+// urlRoutes is the route table every world shares, read-only.
+var urlRoutes = func() []string {
+	routes := make([]string, len(urlPatterns))
+	for i, p := range urlPatterns {
+		routes[i] = "route" + fmt.Sprintf("%d:%s", i, p)
+	}
+	return clip(routes)
+}()
 
 // NumPackets reports the pool size.
 func (w *World) NumPackets() int { return len(w.packets) }
 
-func (w *World) registerNet() {
-	w.register("pkt_count", nil, ast.TInt, rw("pkt.pool"),
-		func(args []value.Value) (value.Value, int64, error) {
+func registerNet(r *registrar) {
+	r.register("pkt_count", nil, ast.TInt, rw("pkt.pool"),
+		func(w *World, args []value.Value) (value.Value, int64, error) {
 			return value.Int(int64(len(w.packets))), 10, nil
 		})
 	// pkt_dequeue removes the next packet from the shared pool and returns
 	// its handle (the pool mutation the paper marks self-commutative).
-	w.register("pkt_dequeue", nil, ast.TInt, rw("pkt.pool"),
-		func(args []value.Value) (value.Value, int64, error) {
+	r.register("pkt_dequeue", nil, ast.TInt, rw("pkt.pool"),
+		func(w *World, args []value.Value) (value.Value, int64, error) {
 			if w.pktNext >= len(w.packets) {
 				return value.Value{}, 0, errArg("pkt_dequeue", "pool exhausted")
 			}
@@ -58,8 +80,8 @@ func (w *World) registerNet() {
 		})
 	// url_match walks the pattern table against the packet's URL: the
 	// per-packet compute of the switch.
-	w.register("url_match", []ast.Type{ast.TInt}, ast.TInt, effects.Decl{},
-		func(args []value.Value) (value.Value, int64, error) {
+	r.register("url_match", []ast.Type{ast.TInt}, ast.TInt, effects.Decl{},
+		func(w *World, args []value.Value) (value.Value, int64, error) {
 			h := args[0].AsInt()
 			if h < 0 || h >= int64(len(w.packets)) {
 				return value.Value{}, 0, errArg("url_match", "bad packet")
@@ -82,8 +104,8 @@ func (w *World) registerNet() {
 			cost := int64(steps)*14 + int64(len(url))*85 + int64(sum%7)
 			return value.Int(int64(match)), cost, nil
 		})
-	w.register("pkt_field", []ast.Type{ast.TInt}, ast.TString, effects.Decl{},
-		func(args []value.Value) (value.Value, int64, error) {
+	r.register("pkt_field", []ast.Type{ast.TInt}, ast.TString, effects.Decl{},
+		func(w *World, args []value.Value) (value.Value, int64, error) {
 			h := args[0].AsInt()
 			if h < 0 || h >= int64(len(w.packets)) {
 				return value.Value{}, 0, errArg("pkt_field", "bad packet")
@@ -91,8 +113,8 @@ func (w *World) registerNet() {
 			return value.Str(w.packets[h].url), 15, nil
 		})
 	// log_pkt appends the packet's fields to the shared log file.
-	w.register("log_pkt", []ast.Type{ast.TInt, ast.TInt}, ast.TVoid, rw("pkt.log"),
-		func(args []value.Value) (value.Value, int64, error) {
+	r.register("log_pkt", []ast.Type{ast.TInt, ast.TInt}, ast.TVoid, rw("pkt.log"),
+		func(w *World, args []value.Value) (value.Value, int64, error) {
 			h, route := args[0].AsInt(), args[1].AsInt()
 			if h < 0 || h >= int64(len(w.packets)) {
 				return value.Value{}, 0, errArg("log_pkt", "bad packet")

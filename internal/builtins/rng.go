@@ -24,22 +24,22 @@ func (w *World) nextSeed() uint64 {
 // Seed reseeds the world RNG (used by workload setup).
 func (w *World) Seed(s uint64) { w.seed = s }
 
-func (w *World) registerRNG() {
+func registerRNG(r *registrar) {
 	seedEff := rw("rng.seed")
-	w.register("rng_int", nil, ast.TInt, seedEff,
-		func(args []value.Value) (value.Value, int64, error) {
+	r.register("rng_int", nil, ast.TInt, seedEff,
+		func(w *World, args []value.Value) (value.Value, int64, error) {
 			return value.Int(int64(w.nextSeed() & 0x7fffffffffffffff)), 40, nil
 		})
-	w.register("rng_range", []ast.Type{ast.TInt}, ast.TInt, seedEff,
-		func(args []value.Value) (value.Value, int64, error) {
+	r.register("rng_range", []ast.Type{ast.TInt}, ast.TInt, seedEff,
+		func(w *World, args []value.Value) (value.Value, int64, error) {
 			n := args[0].AsInt()
 			if n <= 0 {
 				return value.Value{}, 0, errArg("rng_range", "non-positive bound")
 			}
 			return value.Int(int64(w.nextSeed() % uint64(n))), 40, nil
 		})
-	w.register("rng_float", nil, ast.TFloat, seedEff,
-		func(args []value.Value) (value.Value, int64, error) {
+	r.register("rng_float", nil, ast.TFloat, seedEff,
+		func(w *World, args []value.Value) (value.Value, int64, error) {
 			return value.Float(float64(w.nextSeed()>>11) / (1 << 53)), 40, nil
 		})
 }

@@ -26,18 +26,11 @@ import (
 	"repro/internal/vm/value"
 )
 
-// Builtin bundles one substrate function.
-type Builtin struct {
-	Sig     *types.Sig
-	Effects effects.Decl
-	Fn      interp.BuiltinFn
-}
-
-// World is one deterministic substrate instance. Create a fresh World per
+// World is one deterministic substrate instance: only the state the
+// builtins act on. The builtins themselves live in the process-wide
+// registry, and Fns binds them to a world. Create a fresh World per
 // execution so sequential and parallel runs start from identical state.
 type World struct {
-	reg map[string]*Builtin
-
 	// Console output, in emission order.
 	Console []string
 
@@ -77,9 +70,12 @@ type World struct {
 
 	// Epoch-stamped scratch for iset_intersect_size: one map reused
 	// across calls, entries invalidated by bumping the epoch instead of
-	// reallocating.
+	// reallocating. isectA/isectALen name the itemset (handle and length)
+	// the current epoch stamped.
 	isectSeen  map[int64]uint32
 	isectEpoch uint32
+	isectA     int64
+	isectALen  int
 
 	// Transaction database (eclat, geti).
 	dbRows   [][]int64
@@ -130,11 +126,12 @@ type packet struct {
 	size int64
 }
 
-// NewWorld creates an empty substrate with every builtin registered.
-// Workload generators then populate files, databases, packets, etc.
+// NewWorld creates an empty substrate. It allocates only the world's
+// state: the builtins live in the process-wide registry, and Fns binds
+// them to the world. Workload generators then populate files, databases,
+// packets, etc.
 func NewWorld() *World {
-	w := &World{
-		reg:       map[string]*Builtin{},
+	return &World{
 		openFiles: map[int64]*file{},
 		nextFD:    1,
 		seed:      0x2545F4914F6CDD1D,
@@ -143,50 +140,95 @@ func NewWorld() *World {
 		nextMat:   1,
 		histo:     map[int64]int64{},
 	}
-	w.registerCore()
-	w.registerFS()
-	w.registerRNG()
-	w.registerHMM()
-	w.registerMining()
-	w.registerGraph()
-	w.registerTrace()
-	w.registerKMeans()
-	w.registerNet()
-	return w
+}
+
+// impl is a builtin's implementation over the world it runs in.
+type impl func(w *World, args []value.Value) (value.Value, int64, error)
+
+// builtin is one registry entry.
+type builtin struct {
+	sig *types.Sig
+	eff effects.Decl
+	// conservative is eff plus the unknown external location (see
+	// ConservativeEffectTable).
+	conservative effects.Decl
+	fn           impl
+}
+
+// registry holds every builtin in registration order. It is built once
+// per process and never written afterwards, so every world and goroutine
+// shares it: a builtin's signature, effects and implementation are facts
+// of the library, not of a run.
+var registry = buildRegistry()
+
+// registrar collects the registry while it is built.
+type registrar struct {
+	list []builtin
+	seen map[string]bool
+}
+
+func buildRegistry() []builtin {
+	r := &registrar{seen: map[string]bool{}}
+	registerCore(r)
+	registerFS(r)
+	registerRNG(r)
+	registerHMM(r)
+	registerMining(r)
+	registerGraph(r)
+	registerTrace(r)
+	registerKMeans(r)
+	registerNet(r)
+	return r.list
 }
 
 // register adds one builtin; duplicate names are programming errors.
-func (w *World) register(name string, params []ast.Type, result ast.Type, eff effects.Decl, fn interp.BuiltinFn) {
-	if _, dup := w.reg[name]; dup {
-		panic("builtins: duplicate " + name)
-	}
-	w.reg[name] = &Builtin{
-		Sig:     &types.Sig{Name: name, Params: params, Result: result},
-		Effects: eff,
-		Fn:      fn,
-	}
+func (r *registrar) register(name string, params []ast.Type, result ast.Type, eff effects.Decl, fn impl) {
+	r.add(&types.Sig{Name: name, Params: params, Result: result}, eff, fn)
 }
 
 // registerPure adds a builtin usable inside COMMSETPREDICATE expressions.
-func (w *World) registerPure(name string, params []ast.Type, result ast.Type, fn interp.BuiltinFn) {
-	w.register(name, params, result, effects.Decl{}, fn)
-	w.reg[name].Sig.Pure = true
+func (r *registrar) registerPure(name string, params []ast.Type, result ast.Type, fn impl) {
+	r.add(&types.Sig{Name: name, Params: params, Result: result, Pure: true}, effects.Decl{}, fn)
 }
 
-// Sigs returns the signature table for the type checker.
+func (r *registrar) add(sig *types.Sig, eff effects.Decl, fn impl) {
+	if r.seen[sig.Name] {
+		panic("builtins: duplicate " + sig.Name)
+	}
+	r.seen[sig.Name] = true
+	// Clip the shared slices so a caller appending to a returned
+	// declaration or signature copies instead of writing the registry.
+	sig.Params = clip(sig.Params)
+	eff.Reads, eff.Writes, eff.Allocates = clip(eff.Reads), clip(eff.Writes), clip(eff.Allocates)
+	extern := effects.TagLoc("extern.lib")
+	cons := effects.Decl{
+		Reads:  clip(append(append([]effects.Loc{}, eff.Reads...), extern)),
+		Writes: clip(append(append([]effects.Loc{}, eff.Writes...), extern)),
+	}
+	r.list = append(r.list, builtin{sig: sig, eff: eff, conservative: cons, fn: fn})
+}
+
+func clip[T any](s []T) []T { return s[:len(s):len(s)] }
+
+// Sigs returns the signature table for the type checker: a fresh map of
+// fresh signatures on every call.
 func (w *World) Sigs() map[string]*types.Sig {
-	out := make(map[string]*types.Sig, len(w.reg))
-	for n, b := range w.reg {
-		out[n] = b.Sig
+	sigs := make([]types.Sig, len(registry))
+	out := make(map[string]*types.Sig, len(registry))
+	for i := range registry {
+		sigs[i] = *registry[i].sig
+		out[sigs[i].Name] = &sigs[i]
 	}
 	return out
 }
 
-// EffectTable returns the effect declarations for the dependence analyzer.
+// EffectTable returns the effect declarations for the dependence
+// analyzer, as a fresh map. The declarations' slices and maps are the
+// registry's, read-only.
 func (w *World) EffectTable() effects.Table {
-	out := make(effects.Table, len(w.reg))
-	for n, b := range w.reg {
-		out[n] = b.Effects
+	out := make(effects.Table, len(registry))
+	for i := range registry {
+		out[registry[i].sig.Name] = registry[i].eff
 	}
 	return out
 }
@@ -196,25 +238,35 @@ func (w *World) EffectTable() effects.Table {
 // must assume every library call reads and writes unknown external state
 // ("a parallelizing tool cannot infer this automatically without knowing
 // the client specific semantics of I/O calls", Section 2). Every builtin
-// additionally reads and writes one conservative external location.
+// additionally reads and writes one conservative external location. The
+// declarations are built once with the registry; the map is fresh.
 func (w *World) ConservativeEffectTable() effects.Table {
-	extern := effects.TagLoc("extern.lib")
-	out := make(effects.Table, len(w.reg))
-	for n, b := range w.reg {
-		d := effects.Decl{
-			Reads:  append(append([]effects.Loc{}, b.Effects.Reads...), extern),
-			Writes: append(append([]effects.Loc{}, b.Effects.Writes...), extern),
-		}
-		out[n] = d
+	out := make(effects.Table, len(registry))
+	for i := range registry {
+		out[registry[i].sig.Name] = registry[i].conservative
 	}
 	return out
 }
 
-// Fns returns the implementations for the interpreter.
+// Effectful returns the builtins with externally visible writes, as a
+// fresh map (exec.Config.Effectful): the resilient executor refuses to
+// re-execute a DOALL iteration that already completed one of them.
+func (w *World) Effectful() map[string]bool {
+	out := map[string]bool{}
+	for i := range registry {
+		if len(registry[i].eff.Writes) > 0 {
+			out[registry[i].sig.Name] = true
+		}
+	}
+	return out
+}
+
+// Fns returns the implementations for the interpreter, bound to w.
 func (w *World) Fns() map[string]interp.BuiltinFn {
-	out := make(map[string]interp.BuiltinFn, len(w.reg))
-	for n, b := range w.reg {
-		out[n] = b.Fn
+	out := make(map[string]interp.BuiltinFn, len(registry))
+	for i := range registry {
+		fn := registry[i].fn
+		out[registry[i].sig.Name] = func(args []value.Value) (value.Value, int64, error) { return fn(w, args) }
 	}
 	return out
 }
@@ -273,36 +325,36 @@ func allocates(d effects.Decl, tag string) effects.Decl {
 	return d
 }
 
-func (w *World) registerCore() {
-	w.register("print_str", []ast.Type{ast.TString}, ast.TVoid, wo("io.console"),
-		func(args []value.Value) (value.Value, int64, error) {
+func registerCore(r *registrar) {
+	r.register("print_str", []ast.Type{ast.TString}, ast.TVoid, wo("io.console"),
+		func(w *World, args []value.Value) (value.Value, int64, error) {
 			w.Console = append(w.Console, args[0].AsString())
 			return value.Void(), 80, nil
 		})
-	w.register("print_int", []ast.Type{ast.TInt}, ast.TVoid, wo("io.console"),
-		func(args []value.Value) (value.Value, int64, error) {
+	r.register("print_int", []ast.Type{ast.TInt}, ast.TVoid, wo("io.console"),
+		func(w *World, args []value.Value) (value.Value, int64, error) {
 			w.Console = append(w.Console, fmt.Sprintf("%d", args[0].AsInt()))
 			return value.Void(), 80, nil
 		})
-	w.register("print_float", []ast.Type{ast.TFloat}, ast.TVoid, wo("io.console"),
-		func(args []value.Value) (value.Value, int64, error) {
+	r.register("print_float", []ast.Type{ast.TFloat}, ast.TVoid, wo("io.console"),
+		func(w *World, args []value.Value) (value.Value, int64, error) {
 			w.Console = append(w.Console, fmt.Sprintf("%.4f", args[0].AsFloat()))
 			return value.Void(), 80, nil
 		})
-	w.registerPure("itof", []ast.Type{ast.TInt}, ast.TFloat,
-		func(args []value.Value) (value.Value, int64, error) {
+	r.registerPure("itof", []ast.Type{ast.TInt}, ast.TFloat,
+		func(w *World, args []value.Value) (value.Value, int64, error) {
 			return value.Float(float64(args[0].AsInt())), 1, nil
 		})
-	w.registerPure("ftoi", []ast.Type{ast.TFloat}, ast.TInt,
-		func(args []value.Value) (value.Value, int64, error) {
+	r.registerPure("ftoi", []ast.Type{ast.TFloat}, ast.TInt,
+		func(w *World, args []value.Value) (value.Value, int64, error) {
 			return value.Int(int64(args[0].AsFloat())), 1, nil
 		})
-	w.registerPure("int_to_str", []ast.Type{ast.TInt}, ast.TString,
-		func(args []value.Value) (value.Value, int64, error) {
+	r.registerPure("int_to_str", []ast.Type{ast.TInt}, ast.TString,
+		func(w *World, args []value.Value) (value.Value, int64, error) {
 			return value.Str(fmt.Sprintf("%d", args[0].AsInt())), 4, nil
 		})
-	w.registerPure("iabs", []ast.Type{ast.TInt}, ast.TInt,
-		func(args []value.Value) (value.Value, int64, error) {
+	r.registerPure("iabs", []ast.Type{ast.TInt}, ast.TInt,
+		func(w *World, args []value.Value) (value.Value, int64, error) {
 			v := args[0].AsInt()
 			if v < 0 {
 				v = -v
@@ -311,8 +363,8 @@ func (w *World) registerCore() {
 		})
 	// burn performs n units of real arithmetic (a stateless deterministic
 	// mixer) and charges n cost units: synthetic CPU work for calibration.
-	w.registerPure("burn", []ast.Type{ast.TInt}, ast.TInt,
-		func(args []value.Value) (value.Value, int64, error) {
+	r.registerPure("burn", []ast.Type{ast.TInt}, ast.TInt,
+		func(w *World, args []value.Value) (value.Value, int64, error) {
 			n := args[0].AsInt()
 			if n < 0 {
 				n = 0
@@ -360,15 +412,15 @@ func pad(b []byte, i int) []byte {
 // NumFiles reports how many files the world holds.
 func (w *World) NumFiles() int { return len(w.files) }
 
-func (w *World) registerFS() {
-	w.register("file_count", nil, ast.TInt, effects.Decl{Reads: []effects.Loc{effects.TagLoc("fs.table")}},
-		func(args []value.Value) (value.Value, int64, error) {
+func registerFS(r *registrar) {
+	r.register("file_count", nil, ast.TInt, effects.Decl{Reads: []effects.Loc{effects.TagLoc("fs.table")}},
+		func(w *World, args []value.Value) (value.Value, int64, error) {
 			return value.Int(int64(len(w.files))), 20, nil
 		})
 	// fopen_idx opens the i-th input file (the benchmarks iterate over an
 	// input file list, so indexing replaces name lookup).
-	w.register("fopen_idx", []ast.Type{ast.TInt}, ast.TInt, rw("fs.table"),
-		func(args []value.Value) (value.Value, int64, error) {
+	r.register("fopen_idx", []ast.Type{ast.TInt}, ast.TInt, rw("fs.table"),
+		func(w *World, args []value.Value) (value.Value, int64, error) {
 			i := args[0].AsInt()
 			if i < 0 || i >= int64(len(w.files)) {
 				return value.Value{}, 0, errArg("fopen_idx", fmt.Sprintf("no file %d", i))
@@ -379,8 +431,8 @@ func (w *World) registerFS() {
 			w.openFiles[fd] = &file{name: f.name, data: f.data}
 			return value.Int(fd), 120, nil
 		})
-	w.register("fname", []ast.Type{ast.TInt}, ast.TString, effects.Decl{Reads: []effects.Loc{effects.TagLoc("fs.table")}},
-		func(args []value.Value) (value.Value, int64, error) {
+	r.register("fname", []ast.Type{ast.TInt}, ast.TString, effects.Decl{Reads: []effects.Loc{effects.TagLoc("fs.table")}},
+		func(w *World, args []value.Value) (value.Value, int64, error) {
 			f := w.openFiles[args[0].AsInt()]
 			if f == nil {
 				return value.Value{}, 0, errArg("fname", "bad fd")
@@ -388,8 +440,8 @@ func (w *World) registerFS() {
 			return value.Str(f.name), 20, nil
 		})
 	// fread_all reads the remaining contents into a buffer handle.
-	w.register("fread_all", []ast.Type{ast.TInt}, ast.TInt, rw("fs.file"),
-		func(args []value.Value) (value.Value, int64, error) {
+	r.register("fread_all", []ast.Type{ast.TInt}, ast.TInt, rw("fs.file"),
+		func(w *World, args []value.Value) (value.Value, int64, error) {
 			f := w.openFiles[args[0].AsInt()]
 			if f == nil {
 				return value.Value{}, 0, errArg("fread_all", "bad fd")
@@ -399,8 +451,8 @@ func (w *World) registerFS() {
 			w.bufs = append(w.bufs, buf)
 			return value.Int(int64(len(w.bufs) - 1)), 60 + int64(len(buf))/64, nil
 		})
-	w.register("fclose", []ast.Type{ast.TInt}, ast.TVoid, rw("fs.table", "fs.file"),
-		func(args []value.Value) (value.Value, int64, error) {
+	r.register("fclose", []ast.Type{ast.TInt}, ast.TVoid, rw("fs.table", "fs.file"),
+		func(w *World, args []value.Value) (value.Value, int64, error) {
 			fd := args[0].AsInt()
 			if w.openFiles[fd] == nil {
 				return value.Value{}, 0, errArg("fclose", "bad fd")
@@ -409,13 +461,13 @@ func (w *World) registerFS() {
 			return value.Void(), 60, nil
 		})
 	// fwrite_line appends to a named output file (url logging, potrace).
-	w.register("fwrite_line", []ast.Type{ast.TString}, ast.TVoid, rw("fs.out"),
-		func(args []value.Value) (value.Value, int64, error) {
+	r.register("fwrite_line", []ast.Type{ast.TString}, ast.TVoid, rw("fs.out"),
+		func(w *World, args []value.Value) (value.Value, int64, error) {
 			w.logLines = append(w.logLines, args[0].AsString())
 			return value.Void(), 90, nil
 		})
-	w.register("buf_len", []ast.Type{ast.TInt}, ast.TInt, effects.Decl{},
-		func(args []value.Value) (value.Value, int64, error) {
+	r.register("buf_len", []ast.Type{ast.TInt}, ast.TInt, effects.Decl{},
+		func(w *World, args []value.Value) (value.Value, int64, error) {
 			b, err := w.buf(args[0].AsInt())
 			if err != nil {
 				return value.Value{}, 0, err
@@ -424,8 +476,8 @@ func (w *World) registerFS() {
 		})
 	// md5_buf computes the real MD5 digest of a buffer; cost scales with
 	// size like the real computation.
-	w.register("md5_buf", []ast.Type{ast.TInt}, ast.TString, effects.Decl{},
-		func(args []value.Value) (value.Value, int64, error) {
+	r.register("md5_buf", []ast.Type{ast.TInt}, ast.TString, effects.Decl{},
+		func(w *World, args []value.Value) (value.Value, int64, error) {
 			b, err := w.buf(args[0].AsInt())
 			if err != nil {
 				return value.Value{}, 0, err

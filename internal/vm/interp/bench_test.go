@@ -39,3 +39,37 @@ func BenchmarkRunCompiled(b *testing.B) {
 		}
 	}
 }
+
+// raceEnabled is set in race builds (race_test.go).
+var raceEnabled bool
+
+// TestUserCallZeroAlloc pins the scratch-arena discipline for
+// user-function calls: in a steady-state loop, a call, its frame and its
+// returned results allocate nothing (arguments and results are carved
+// from the thread's arena, frames come from the function's pool).
+func TestUserCallZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops frames at random under the race detector")
+	}
+	res, _ := compile(t, `
+int twice(int x) { return x + x; }
+int inc2(int x) { return twice(x) + 1; }
+void main() {
+	int s = 0;
+	for (int i = 0; i < 100; i++) {
+		s = (s + inc2(i)) % 1000;
+	}
+}`)
+	th := interp.NewThread(interp.NewEnv(res.Prog, nil))
+	if err := th.RunMain(); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if err := th.RunMain(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("%v allocations per run of 200 user-function calls, want 0", allocs)
+	}
+}

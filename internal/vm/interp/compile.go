@@ -355,7 +355,7 @@ func (t *Thread) exec(fc *fnCode, args []value.Value) ([]value.Value, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]value.Value, len(s.Ret.Args))
+	out := t.results(len(s.Ret.Args))
 	for i, r := range s.Ret.Args {
 		out[i] = regs[r]
 	}

@@ -177,16 +177,16 @@ type Thread struct {
 	// depth guards against runaway recursion in user programs.
 	depth int
 
-	// scratch is a stack arena for call-argument and builtin-result
-	// slices: execCall carves each call's arguments here (and
-	// CallByName its builtin's single result) and pops them once the
-	// call's results are consumed, so nested calls reuse one growing
-	// backing array instead of allocating per call. Sound because nothing
-	// retains such a slice past the call: builtins read their arguments,
-	// interceptors pass them through, every caller copies results into
-	// registers before its bracket pops, and the sanitizer copies what it
-	// records. brackets counts the active Mark/Release pairs — builtin
-	// results only go to the arena when a bracket is there to pop them.
+	// scratch is a stack arena for call-argument and result slices:
+	// execCall carves each call's arguments here (and callBuiltin and
+	// exec the callee's results) and pops them once the call's results
+	// are consumed, so nested calls reuse one growing backing array
+	// instead of allocating per call. Sound because nothing retains such
+	// a slice past the call: builtins read their arguments, interceptors
+	// pass them through, every caller copies results into registers
+	// before its bracket pops, and the sanitizer copies what it records.
+	// brackets counts the active Mark/Release pairs — results only go to
+	// the arena when a bracket is there to pop them.
 	scratch  []value.Value
 	brackets int
 
@@ -274,12 +274,18 @@ func (t *Thread) callBuiltin(name string, b BuiltinFn, args []value.Value) ([]va
 	if err != nil {
 		return nil, err
 	}
+	out := t.results(1)
+	out[0] = v
+	return out, nil
+}
+
+// results returns a call's n-element result slice: carved from the
+// arena when a bracket is there to pop it, heap-allocated otherwise.
+func (t *Thread) results(n int) []value.Value {
 	if t.brackets > 0 {
-		m := len(t.scratch)
-		t.scratch = append(t.scratch, v)
-		return t.scratch[m : m+1 : m+1], nil
+		return t.ScratchSlice(n)
 	}
-	return []value.Value{v}, nil
+	return make([]value.Value, n)
 }
 
 // execCall runs one call instruction, carving its argument slice from
